@@ -138,102 +138,91 @@ Status IndexCache::RefreshSlot(Slot* slot) {
 
 Status IndexCache::Install(PageId page, const char* bytes, uint8_t level) {
   if (!enabled() || level == 0) return Status::OK();
-  PageId evicted{};
-  bool have_evicted = false;
-  Status result = Status::OK();
-  {
-    UniqueLock lock(mu_);
-    const uint32_t bound = table_.Lookup(page.Pack());
-    if (bound != IndirectionTable::kNoSlot) {
-      // Already bound: refresh the image in place. The caller holds the
-      // page's PLock, so `bytes` is the page's CURRENT image — at least as
-      // new as anything a one-sided refresh could have pulled (a lagging
-      // DBP root may even have left an unroutable leaf-level image here;
-      // this is what heals it). Clearing the flag is safe for the same
-      // reason: any push that set it predates the caller's image.
-      Slot* slot = slots_[bound].get();
-      slot->latch.lock();
-      slot->last_used = ++tick_;
-      invalid_flags_[bound].store(0, std::memory_order_release);
-      slot->seq = kUnknownSeq;
-      lock.unlock();
-      std::memcpy(slot->data.get(), bytes, options_.page_size);
-      slot->latch.unlock();
+  UniqueLock lock(mu_);
+  const uint32_t bound = table_.Lookup(page.Pack());
+  if (bound != IndirectionTable::kNoSlot) {
+    // Already bound: refresh the image in place. The caller holds the
+    // page's PLock, so `bytes` is the page's CURRENT image — at least as
+    // new as anything a one-sided refresh could have pulled (a lagging
+    // DBP root may even have left an unroutable leaf-level image here;
+    // this is what heals it). Clearing the flag is safe for the same
+    // reason: any push that set it predates the caller's image.
+    Slot* slot = slots_[bound].get();
+    slot->latch.lock();
+    slot->last_used = ++tick_;
+    invalid_flags_[bound].store(0, std::memory_order_release);
+    slot->seq = kUnknownSeq;
+    lock.unlock();
+    std::memcpy(slot->data.get(), bytes, options_.page_size);
+    slot->latch.unlock();
+    return Status::OK();
+  }
+  const auto backoff = not_in_dbp_.find(page.Pack());
+  if (backoff != not_in_dbp_.end()) {
+    // The page was not in the DBP last time; retrying RegisterCopy on
+    // every descent would spend the RPC pair below for nothing. Visits
+    // advance the clock so the backoff expires under pure-miss traffic
+    // too (routes may never tick it forward).
+    if (++tick_ - backoff->second < kRegisterBackoffTicks) {
+      register_backoffs_.Inc();
       return Status::OK();
     }
-    const auto backoff = not_in_dbp_.find(page.Pack());
-    if (backoff != not_in_dbp_.end()) {
-      // The page was not in the DBP last time; retrying RegisterCopy on
-      // every descent would spend the RPC pair below for nothing. Visits
-      // advance the clock so the backoff expires under pure-miss traffic
-      // too (routes may never tick it forward).
-      if (++tick_ - backoff->second < kRegisterBackoffTicks) {
-        register_backoffs_.Inc();
-        return Status::OK();
-      }
-      not_in_dbp_.erase(backoff);
-    }
-    const uint32_t idx = PickVictimLocked();
-    Slot* slot = slots_[idx].get();
-    // Exclusive latch under mu_ waits out in-flight routes through the
-    // victim's old binding before it vanishes.
-    slot->latch.lock();
-    const uint64_t old_key = table_.PageAtSlot(idx);
-    if (old_key != IndirectionTable::kNoPage) {
-      table_.Unbind(idx);
-      // Unregister under mu_: a concurrent Install of the same page cannot
-      // register between the unbind and this unregister, so the unregister
-      // can never erase a fresh registration and orphan its invalid flag
-      // (which would silently lose invalidations).
-      // polarlint: allow(status-defuse) best-effort eviction: a
-      // failed unregister leaves a stale copy entry whose future
-      // invalidations hit an unbound slot — harmless, and retrying under
-      // mu_ would stall the read path.
-      (void)buffer_fusion_->UnregisterCopy(node_, PageId::Unpack(old_key),
-                                           kCacheFlagsRegion);
-      evictions_.Inc();
-      evicted = PageId::Unpack(old_key);
-      have_evicted = true;
-    }
-    auto reg = buffer_fusion_->RegisterCopy(node_, page, FlagOffset(idx),
-                                            kCacheFlagsRegion);
-    if (!reg.ok() || !reg.value().present) {
-      // Without valid DBP content there is nothing to refresh against, so
-      // the page is not cacheable right now. (By the caller contract the
-      // page sits in the local LBP, whose load already pushed it, so the
-      // !present case is rare.)
-      if (reg.ok()) {
-        // polarlint: allow(status-defuse) undo of a registration
-        // we just made and will not use; a leak here only costs a stale
-        // copy entry, and the caller already takes the uncached path.
-        (void)buffer_fusion_->UnregisterCopy(node_, page, kCacheFlagsRegion);
-        // Keep the backoff set bounded; internal pages number far fewer
-        // than slots in any healthy tree, so a reset is essentially free.
-        if (not_in_dbp_.size() >= options_.slots) not_in_dbp_.clear();
-        not_in_dbp_[page.Pack()] = tick_;
-      }
-      slot->latch.unlock();
-      result = reg.ok() ? Status::OK() : reg.status();
-    } else {
-      invalid_flags_[idx].store(0, std::memory_order_release);
-      slot->r_addr = reg.value().frame;
-      slot->seq = kUnknownSeq;
-      slot->last_used = ++tick_;
-      table_.Bind(page.Pack(), idx);
-      installs_.Inc();
-      lock.unlock();
-      // Bytes land under the exclusive latch with mu_ released; routes that
-      // already found the new binding block on the latch until the image is
-      // complete. The caller's PLock guarantees no remote push (and hence
-      // no missed invalidation) races this copy.
-      std::memcpy(slot->data.get(), bytes, options_.page_size);
-      slot->latch.unlock();
-    }
+    not_in_dbp_.erase(backoff);
   }
-  // The evicted page may hold a PLock lease; hand it back only after every
-  // cache lock is released (kPlock = 90 sits above our ranks).
-  if (have_evicted && on_evict_) on_evict_(evicted);
-  return result;
+  const uint32_t idx = PickVictimLocked();
+  Slot* slot = slots_[idx].get();
+  // Exclusive latch under mu_ waits out in-flight routes through the
+  // victim's old binding before it vanishes.
+  slot->latch.lock();
+  const uint64_t old_key = table_.PageAtSlot(idx);
+  if (old_key != IndirectionTable::kNoPage) {
+    table_.Unbind(idx);
+    // Unregister under mu_: a concurrent Install of the same page cannot
+    // register between the unbind and this unregister, so the unregister
+    // can never erase a fresh registration and orphan its invalid flag
+    // (which would silently lose invalidations).
+    // polarlint: allow(status-defuse) best-effort eviction: a
+    // failed unregister leaves a stale copy entry whose future
+    // invalidations hit an unbound slot — harmless, and retrying under
+    // mu_ would stall the read path.
+    (void)buffer_fusion_->UnregisterCopy(node_, PageId::Unpack(old_key),
+                                         kCacheFlagsRegion);
+    evictions_.Inc();
+  }
+  auto reg = buffer_fusion_->RegisterCopy(node_, page, FlagOffset(idx),
+                                          kCacheFlagsRegion);
+  if (!reg.ok() || !reg.value().present) {
+    // Without valid DBP content there is nothing to refresh against, so
+    // the page is not cacheable right now. (By the caller contract the
+    // page sits in the local LBP, whose load already pushed it, so the
+    // !present case is rare.)
+    if (reg.ok()) {
+      // polarlint: allow(status-defuse) undo of a registration
+      // we just made and will not use; a leak here only costs a stale
+      // copy entry, and the caller already takes the uncached path.
+      (void)buffer_fusion_->UnregisterCopy(node_, page, kCacheFlagsRegion);
+      // Keep the backoff set bounded; internal pages number far fewer
+      // than slots in any healthy tree, so a reset is essentially free.
+      if (not_in_dbp_.size() >= options_.slots) not_in_dbp_.clear();
+      not_in_dbp_[page.Pack()] = tick_;
+    }
+    slot->latch.unlock();
+    return reg.ok() ? Status::OK() : reg.status();
+  }
+  invalid_flags_[idx].store(0, std::memory_order_release);
+  slot->r_addr = reg.value().frame;
+  slot->seq = kUnknownSeq;
+  slot->last_used = ++tick_;
+  table_.Bind(page.Pack(), idx);
+  installs_.Inc();
+  lock.unlock();
+  // Bytes land under the exclusive latch with mu_ released; routes that
+  // already found the new binding block on the latch until the image is
+  // complete. The caller's PLock guarantees no remote push (and hence no
+  // missed invalidation) races this copy.
+  std::memcpy(slot->data.get(), bytes, options_.page_size);
+  slot->latch.unlock();
+  return Status::OK();
 }
 
 uint32_t IndexCache::PickVictimLocked() {
@@ -262,12 +251,6 @@ void IndexCache::InvalidateLocal(PageId page) {
   if (idx == IndirectionTable::kNoSlot) return;
   invalid_flags_[idx].store(1, std::memory_order_release);
   local_invalidations_.Inc();
-}
-
-bool IndexCache::Contains(PageId page) const {
-  if (!enabled()) return false;
-  MutexLock lock(mu_);
-  return table_.Lookup(page.Pack()) != IndirectionTable::kNoSlot;
 }
 
 void IndexCache::DropAll() {

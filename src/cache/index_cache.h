@@ -2,7 +2,6 @@
 #define POLARMP_CACHE_INDEX_CACHE_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -51,8 +50,8 @@ namespace polarmp {
 //     latch; refreshes and installs write under the exclusive latch.
 //   * Latch holders never wait on mu_, so an installer blocking on a
 //     victim's latch while holding mu_ cannot deadlock.
-//   * The eviction callback (→ PLockManager::ReleaseLease, kPlock = 90)
-//     runs only after every cache lock is released.
+//   * Slot eviction is local to the cache: it never touches the page's
+//     PLock (kPlock = 90 is never taken under a cache lock).
 class IndexCache {
  public:
   struct Options {
@@ -83,13 +82,6 @@ class IndexCache {
 
   bool enabled() const { return options_.enabled && options_.slots > 0; }
 
-  // Called when a cached page is evicted to make room (after all cache
-  // locks are released). DbNode points this at PLockManager::ReleaseLease
-  // so a lease retained for the evicted page is handed back.
-  void SetOnEvict(std::function<void(PageId)> on_evict) {
-    on_evict_ = std::move(on_evict);
-  }
-
   // Routes `key` from the tree root (page 0 of `space`) down through cached
   // internal images. Stops at the first page with no valid cached image.
   // Never performs an RPC; flagged slots are refreshed with one one-sided
@@ -117,8 +109,6 @@ class IndexCache {
   // the dirty push, and the flag keeps routes from trusting our image
   // meanwhile). Purely local — no fabric op.
   void InvalidateLocal(PageId page);
-
-  bool Contains(PageId page) const;
 
   // Drops every binding (crash/stop). Local only: the server side is
   // cleaned up by BufferFusion::RemoveNode, which erases this node's
@@ -190,9 +180,6 @@ class IndexCache {
   Fabric* const fabric_;
   BufferFusion* const buffer_fusion_;
   const Options options_;
-
-  // polarlint: unguarded(installed once by DbNode before traffic)
-  std::function<void(PageId)> on_evict_;
 
   mutable RankedMutex mu_{LockRank::kIndexCache, "index_cache.table"};
   IndirectionTable table_ GUARDED_BY(mu_);

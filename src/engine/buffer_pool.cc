@@ -179,7 +179,8 @@ StatusOr<uint32_t> BufferPool::AllocFrameLocked() {
     }
     const Status s = EvictLocked(victim);
     if (s.ok()) return victim;
-    // Busy victim (e.g., its PLock is mid-acquire): try another.
+    // Failed eviction (the dirty push or the unregister did not go
+    // through): try another victim.
   }
   return Status::Internal("LBP exhausted: no evictable frame");
 }
@@ -194,14 +195,11 @@ Status BufferPool::EvictLocked(uint32_t idx) {
 
   Status st = Status::OK();
   {
-    // Doorbell batch: the eviction's control-plane RPCs (push notify, PLock
-    // release, copy unregister) ride one fabric operation.
+    // Doorbell batch: the eviction's control-plane RPCs (push notify, copy
+    // unregister) ride one fabric operation.
     RpcBatch batch(fabric_, node_, kPmfsEndpoint);
     if (was_dirty) {
       st = PushFrame(idx, /*clean_load=*/false);
-    }
-    if (st.ok() && release_plock_) {
-      st = release_plock_(old_page);
     }
     if (st.ok()) {
       st = buffer_fusion_->UnregisterCopy(node_, old_page);

@@ -55,12 +55,6 @@ class BufferPool {
   void SetForceLog(std::function<Status(Lsn)> force_log) {
     force_log_ = std::move(force_log);
   }
-  // Eviction hook: fully releases this node's PLock on the page (returns
-  // Busy if the PLock is in use and the eviction should pick another
-  // victim).
-  void SetReleasePLock(std::function<Status(PageId)> release_plock) {
-    release_plock_ = std::move(release_plock);
-  }
   // Called after a page's content reaches the DBP (any push, clean or
   // dirty). The index cache uses it to retire its not-in-DBP install
   // backoff so the page becomes cacheable as soon as it is fetchable.
@@ -161,9 +155,10 @@ class BufferPool {
   // the frame index.
   StatusOr<uint32_t> AllocFrameLocked() REQUIRES(mu_);
 
-  // Evicts frame `idx` (pins==0): flush if dirty, release PLock, unregister
-  // the DBP copy. Drops mu_ around the RPCs and reacquires it before
-  // returning.
+  // Evicts frame `idx` (pins==0): flush if dirty, unregister the DBP copy.
+  // The page's PLock stays with the node (lazy release, §4.3.1): only Lock
+  // Fusion negotiation takes it away. Drops mu_ around the RPCs and
+  // reacquires it before returning.
   Status EvictLocked(uint32_t idx) REQUIRES(mu_);
 
   // Loads content into an installing frame. Called without mu_.
@@ -185,8 +180,6 @@ class BufferPool {
 
   // polarlint: unguarded(installed once by DbNode before traffic)
   std::function<Status(Lsn)> force_log_;
-  // polarlint: unguarded(installed once by DbNode before traffic)
-  std::function<Status(PageId)> release_plock_;
   // polarlint: unguarded(installed once by DbNode before traffic)
   std::function<void(PageId)> note_push_;
 

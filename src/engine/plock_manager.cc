@@ -21,7 +21,7 @@ Status PLockManager::Pin(PageId page, LockMode mode, uint64_t timeout_ms) {
           // Nothing will trigger the release (the last Unpin predated the
           // negotiation); run it from here.
           e.releasing = true;
-          ReleaseLocked(page, /*run_hook=*/true);
+          ReleaseLocked(page);
         } else {
           cv_.wait(lock);
         }
@@ -29,12 +29,6 @@ Status PLockManager::Pin(PageId page, LockMode mode, uint64_t timeout_ms) {
       }
       ++e.refs;
       local_grants_.Inc();
-      if (e.leased) {
-        // The lease paid off: a repeat acquisition on a cache-resident
-        // page granted without leaving the node.
-        e.leased = false;
-        lease_regrants_.Inc();
-      }
       return Status::OK();
     }
     if (e.acquiring) {
@@ -47,7 +41,7 @@ Status PLockManager::Pin(PageId page, LockMode mode, uint64_t timeout_ms) {
       // two nodes do it symmetrically (each X waits on the other's S); a
       // release-then-reacquire serializes cleanly through the FIFO queue.
       e.releasing = true;
-      ReleaseLocked(page, /*run_hook=*/true);
+      ReleaseLocked(page);
       continue;
     }
     // Fresh acquire or upgrade (refs held by peers) through Lock Fusion.
@@ -84,10 +78,6 @@ bool PLockManager::TryPinLocal(PageId page, LockMode mode) {
   }
   ++e.refs;
   local_grants_.Inc();
-  if (e.leased) {
-    e.leased = false;
-    lease_regrants_.Inc();
-  }
   return true;
 }
 
@@ -103,7 +93,7 @@ void PLockManager::Unpin(PageId page) {
       !e.releasing) {
     if (!e.acquiring) {
       e.releasing = true;
-      ReleaseLocked(page, /*run_hook=*/true);
+      ReleaseLocked(page);
     } else if (e.held) {
       PartialReleaseLocked(page);
     }
@@ -121,7 +111,7 @@ void PLockManager::OnNegotiate(PageId page) {
   if (e.held && e.refs == 0 && !e.releasing) {
     if (!e.acquiring) {
       e.releasing = true;
-      ReleaseLocked(page, /*run_hook=*/true);
+      ReleaseLocked(page);
     } else {
       PartialReleaseLocked(page);
     }
@@ -145,78 +135,32 @@ Status PLockManager::ForceRelease(PageId page) {
     return Status::Busy("PLock in use");
   }
   e.releasing = true;
-  // The evicting caller already flushed the frame; running the hook here
-  // would deadlock on the frame's mid-eviction state.
-  ReleaseLocked(page, /*run_hook=*/false);
+  ReleaseLocked(page);
   return Status::OK();
 }
 
-Status PLockManager::DemoteToLease(PageId page) {
-  const uint64_t key = page.Pack();
-  MutexLock lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return Status::OK();
-  Entry& e = it->second;
-  if (!e.held) {
-    if (e.acquiring || e.releasing) {
-      return Status::Busy("PLock entry busy");
+void PLockManager::ReturnToFusion(PageId page) {
+  // Doorbell batch: the hook's dirty-push NotifyPush and the release RPC
+  // ride one fabric operation.
+  RpcBatch batch(fusion_->fabric(), node_, kPmfsEndpoint);
+  if (before_release_) {
+    const Status s = before_release_(page);
+    if (!s.ok()) {
+      POLARMP_LOG(Warn) << "before-release hook failed for page "
+                        << page.ToString() << ": " << s.ToString();
     }
-    entries_.erase(it);
-    return Status::OK();
   }
-  if (e.refs > 0 || e.acquiring || e.releasing) {
-    return Status::Busy("PLock in use");
+  const Status s = fusion_->ReleasePLock(node_, page);
+  if (!s.ok() && !s.IsNotFound()) {
+    POLARMP_LOG(Warn) << "PLock release failed for page " << page.ToString()
+                      << ": " << s.ToString();
   }
-  if (!lazy_release_) {
-    // The ablation baseline retains no idle holds; give it back like a
-    // plain eviction (the caller already flushed the frame).
-    e.releasing = true;
-    ReleaseLocked(page, /*run_hook=*/false);
-    return Status::OK();
-  }
-  e.leased = true;
-  lease_demotes_.Inc();
-  return Status::OK();
 }
 
-void PLockManager::ReleaseLease(PageId page) {
-  const uint64_t key = page.Pack();
-  MutexLock lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return;
-  Entry& e = it->second;
-  if (!e.leased) return;
-  if (e.held && e.refs == 0 && !e.acquiring && !e.releasing) {
-    e.releasing = true;
-    // The page is long gone from the LBP; the hook is a harmless no-op
-    // there, and running it keeps the release path uniform.
-    ReleaseLocked(page, /*run_hook=*/true);
-    return;
-  }
-  // The hold became active again (or is mid-transition); it is no longer
-  // a lease, just a normal retained hold.
-  e.leased = false;
-}
-
-void PLockManager::ReleaseLocked(PageId page, bool run_hook) {
+void PLockManager::ReleaseLocked(PageId page) {
   negotiated_releases_.Inc();
   mu_.unlock();
-  {
-    // Doorbell batch: the hook's dirty-push NotifyPush and the release RPC
-    // ride one fabric operation.
-    RpcBatch batch(fusion_->fabric(), node_, kPmfsEndpoint);
-    if (run_hook && before_release_) {
-      const Status s = before_release_(page);
-      if (!s.ok()) {
-        POLARMP_LOG(Warn) << "before-release hook failed for page "
-                          << page.ToString() << ": " << s.ToString();
-      }
-    }
-    const Status s = fusion_->ReleasePLock(node_, page);
-    if (!s.ok() && !s.IsNotFound()) {
-      POLARMP_LOG(Warn) << "PLock release failed: " << s.ToString();
-    }
-  }
+  ReturnToFusion(page);
   mu_.lock();
   entries_.erase(page.Pack());
   cv_.notify_all();
@@ -226,20 +170,7 @@ void PLockManager::PartialReleaseLocked(PageId page) {
   Entry& e = entries_[page.Pack()];
   e.releasing = true;
   mu_.unlock();
-  {
-    RpcBatch batch(fusion_->fabric(), node_, kPmfsEndpoint);
-    if (before_release_) {
-      const Status s = before_release_(page);
-      if (!s.ok()) {
-        POLARMP_LOG(Warn) << "before-release hook failed for page "
-                          << page.ToString() << ": " << s.ToString();
-      }
-    }
-    const Status s = fusion_->ReleasePLock(node_, page);
-    if (!s.ok() && !s.IsNotFound()) {
-      POLARMP_LOG(Warn) << "partial PLock release failed: " << s.ToString();
-    }
-  }
+  ReturnToFusion(page);
   mu_.lock();
   Entry& e2 = entries_[page.Pack()];
   e2.releasing = false;
@@ -271,8 +202,7 @@ std::string PLockManager::DebugDump() const {
            " refs=" + std::to_string(e.refs) +
            " rel_req=" + std::to_string(e.release_requested) +
            " acq=" + std::to_string(e.acquiring) +
-           " rel=" + std::to_string(e.releasing) +
-           " leased=" + std::to_string(e.leased) + "\n";
+           " rel=" + std::to_string(e.releasing) + "\n";
   }
   return out;
 }

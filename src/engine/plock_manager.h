@@ -22,7 +22,9 @@ namespace polarmp {
 // with Lock Fusion, which manages the granting of locks in FIFO order" —
 // and the hold is released once the reference count drains, after the
 // dirty page (if any) has been pushed to the DBP by the before-release
-// hook.
+// hook. LBP eviction does not touch the hold: an evicted page's hold stays
+// until negotiation (or node stop) takes it, so re-reading an evicted page
+// is a local grant.
 class PLockManager {
  public:
   // `lazy_release` enables the paper's lazy releasing (§4.3.1); disabling
@@ -56,25 +58,11 @@ class PLockManager {
   // Lock Fusion negotiation callback (registered via LockFusion::AddNode).
   void OnNegotiate(PageId page);
 
-  // Eviction support: releases the node's hold entirely. Returns Busy if
-  // the page has references or an acquire in flight (pick another victim).
+  // Releases the node's hold entirely, pushing the page first if dirty.
+  // Returns Busy if the page has references or an acquire in flight. For
+  // holds not worth retaining: SMO virtual index locks and the table
+  // bootstrap's root lock.
   Status ForceRelease(PageId page);
-
-  // Eviction support for pages the index cache still holds: instead of
-  // releasing the hold back to Lock Fusion, keeps it as a LEASE — the
-  // fusion-side grant stays with this node (refs == 0), so the next Pin on
-  // the page is a pure local regrant that never leaves the node. Lock
-  // Fusion revokes leases through the normal negotiation path (a lease is
-  // just an idle retained hold, so OnNegotiate releases it immediately).
-  // Same Busy conditions as ForceRelease; with lazy releasing disabled
-  // (the ablation baseline retains no idle holds) it degrades to a full
-  // ForceRelease.
-  Status DemoteToLease(PageId page);
-
-  // Hands a lease back to Lock Fusion (the index cache evicted the page,
-  // so nothing local justifies the hold anymore). No-op unless the page's
-  // hold is an idle lease.
-  void ReleaseLease(PageId page);
 
   bool HeldLocally(PageId page, LockMode mode) const;
 
@@ -91,8 +79,6 @@ class PLockManager {
   uint64_t negotiated_releases() const {
     return negotiated_releases_.Value();
   }
-  uint64_t lease_demotes() const { return lease_demotes_.Value(); }
-  uint64_t lease_regrants() const { return lease_regrants_.Value(); }
 
  private:
   struct Entry {
@@ -102,9 +88,6 @@ class PLockManager {
     bool release_requested = false;
     bool acquiring = false;
     bool releasing = false;
-    // Idle hold kept because the index cache holds the page (see
-    // DemoteToLease). Cleared by the Pin that re-uses it.
-    bool leased = false;
   };
 
   static bool Sufficient(LockMode held, LockMode wanted) {
@@ -114,11 +97,8 @@ class PLockManager {
   // Runs the release protocol for `page`. The entry must be held with
   // refs==0 and releasing already set to true. Drops mu_ around the hook
   // and the fusion RPC, reacquiring it before returning (invisible to the
-  // static analysis; the contract is held-on-entry, held-on-exit). With
-  // `run_hook` the dirty page is pushed first (negotiated releases);
-  // eviction already flushed and must skip it (the frame is mid-eviction
-  // and the hook would deadlock waiting on it).
-  void ReleaseLocked(PageId page, bool run_hook) REQUIRES(mu_);
+  // static analysis; the contract is held-on-entry, held-on-exit).
+  void ReleaseLocked(PageId page) REQUIRES(mu_);
 
   // Gives the held mode back to Lock Fusion while an acquire for a
   // stronger mode is still queued there: the entry survives (held=false)
@@ -128,6 +108,10 @@ class PLockManager {
   // FIFO (our own queued upgrade waits behind the waiter our hold blocks).
   // Same drop-and-reacquire shape as ReleaseLocked.
   void PartialReleaseLocked(PageId page) REQUIRES(mu_);
+
+  // Pushes the page if dirty (the before-release hook), then gives the
+  // node's hold back to Lock Fusion; both ride one doorbell batch.
+  void ReturnToFusion(PageId page) EXCLUDES(mu_);
 
   const NodeId node_;
   LockFusion* const fusion_;
@@ -142,8 +126,6 @@ class PLockManager {
   obs::Counter local_grants_{"plock.local_grants"};
   obs::Counter fusion_acquires_{"plock.fusion_acquires"};
   obs::Counter negotiated_releases_{"plock.negotiated_releases"};
-  obs::Counter lease_demotes_{"plock.lease_demotes"};
-  obs::Counter lease_regrants_{"plock.lease_regrants"};
 };
 
 }  // namespace polarmp

@@ -63,7 +63,8 @@ DbNode::DbNode(NodeId id, const ClusterServices& services,
   engine_ctx_.plock_timeout_ms = options.plock_timeout_ms;
 
   // Wire the cross-component hooks: WAL rule on page push, PLock release
-  // flushes the dirty page, LBP eviction releases the PLock.
+  // flushes the dirty page. LBP eviction leaves the PLock alone: only
+  // negotiation takes a retained hold away (lazy release, §4.3.1).
   // Eviction is inherently synchronous (the page cannot leave before its
   // redo), so the WAL-rule hook rides the async pipeline and waits on the
   // handle — it still groups with whatever committers are queued.
@@ -71,15 +72,6 @@ DbNode::DbNode(NodeId id, const ClusterServices& services,
       [this](Lsn lsn) { return log_writer_.ForceAsync(lsn).Wait(); });
   plock_.SetBeforeRelease(
       [this](PageId page) { return lbp_.FlushPageForRelease(page); });
-  lbp_.SetReleasePLock([this](PageId page) {
-    // If the index cache still holds the page, keep the fusion-side grant
-    // as a lease: the next descent through the cached image re-pins without
-    // leaving the node. (A lease is just an idle retained hold, so a remote
-    // conflict revokes it through the normal negotiation path.)
-    return cache_.Contains(page) ? plock_.DemoteToLease(page)
-                                 : plock_.ForceRelease(page);
-  });
-  cache_.SetOnEvict([this](PageId page) { plock_.ReleaseLease(page); });
   lbp_.SetNotePush([this](PageId page) { cache_.NotePushed(page); });
   trx_mgr_.SetTreeResolver([this](SpaceId space) { return TreeForSpace(space); });
 }

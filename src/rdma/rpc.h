@@ -50,7 +50,7 @@ class Rpc {
 // fabric round trip carries all of them (a WR chain posted with a single
 // doorbell ring). Used by multi-RPC sequences that a real client would
 // batch: Mtr::Acquire's PLock-pin + page-fetch pair, the buffer pool's
-// evict-time release + copy-unregister pair, the PLock release's
+// evict-time push-notify + copy-unregister pair, the PLock release's
 // flush-notify + unlock pair. Scopes nest LIFO; destruction order must
 // mirror construction order on the thread.
 class RpcBatch {

@@ -8,7 +8,8 @@ namespace polarmp {
 namespace {
 
 // Compute-side index cache: version-validated one-sided routing, remote and
-// local SMO invalidation, lease interplay, eviction and the disabled mode.
+// local SMO invalidation, LBP eviction interplay, slot eviction and the
+// disabled mode.
 class IndexCacheTest : public ::testing::Test {
  protected:
   void StartCluster(int nodes, uint32_t cache_slots, bool cache_enabled,
@@ -197,9 +198,9 @@ TEST_F(IndexCacheTest, CachedRoutesServeWritesUnderRemoteChurn) {
   }
 }
 
-// A deep tree with a tiny cache churns slots; every eviction hands a
-// possible PLock lease back through the on-evict hook and routing stays
-// correct throughout.
+// A deep tree with a tiny cache churns slots; slot eviction is local to
+// the cache (the page's PLock stays put) and routing stays correct
+// throughout.
 TEST_F(IndexCacheTest, TinyCacheEvictsAndStaysCorrect) {
   StartCluster(1, 2, /*cache_enabled=*/true);
   // 40-byte values force ~3 levels at 1 KiB pages: multiple internal pages
@@ -215,24 +216,33 @@ TEST_F(IndexCacheTest, TinyCacheEvictsAndStaysCorrect) {
   EXPECT_GT(nodes_[0]->index_cache()->evictions(), 0u);
 }
 
-// LBP eviction of a cache-resident internal page demotes its PLock to a
-// lease instead of releasing it; the next guarded descent (a split) re-pins
-// it locally without a fusion round trip.
+// LBP eviction leaves the evicted pages' PLocks on the node: once every
+// page has been touched, further passes that keep evicting and reloading
+// pages re-pin them with local grants only, never a fusion round trip.
 TEST_F(IndexCacheTest, LbpEvictionLeavesLeaseForCachedPages) {
   StartCluster(1, 64, /*cache_enabled=*/true, /*lbp_frames=*/8);
   ASSERT_TRUE(InsertRange(0, 0, 400, "a").ok());
   PLockManager* plock = nodes_[0]->plock_manager();
-  // Routed reads skip pinning internal pages, so the root's LBP frame goes
-  // LRU-cold and gets evicted while the cache still holds its image.
-  for (int pass = 0; pass < 3; ++pass) {
+  BufferPool* lbp = nodes_[0]->buffer_pool();
+  for (int64_t k = 0; k < 400; k += 5) {
+    ASSERT_TRUE(Read1(0, k).ok());
+  }
+  const uint64_t fusion_before = plock->fusion_acquires();
+  const uint64_t local_before = plock->local_grants();
+  const uint64_t reloads_before = lbp->dbp_fetches();
+  for (int pass = 0; pass < 2; ++pass) {
     for (int64_t k = 0; k < 400; k += 5) {
-      ASSERT_TRUE(Read1(0, k).ok());
+      auto v = Read1(0, k);
+      ASSERT_TRUE(v.ok());
+      EXPECT_EQ(v.value(), Expected(k, "a"));
     }
   }
-  EXPECT_GT(plock->lease_demotes(), 0u);
-  // Splits descend the guarded path and re-pin the leased internals.
+  // The 8-frame LBP evicted and reloaded pages, yet every pin was local.
+  EXPECT_GT(lbp->dbp_fetches(), reloads_before);
+  EXPECT_EQ(plock->fusion_acquires(), fusion_before);
+  EXPECT_GT(plock->local_grants(), local_before);
+  // Splits descend the guarded path over the evicted internals.
   ASSERT_TRUE(InsertRange(0, 400, 800, "b").ok());
-  EXPECT_GT(plock->lease_regrants(), 0u);
   for (int64_t k = 0; k < 800; k += 23) {
     auto v = Read1(0, k);
     ASSERT_TRUE(v.ok());
