@@ -87,10 +87,7 @@ Point RunPoint(const PointOpts& po, const bench::BenchConfig& cfg) {
   ClusterOptions options = bench::MakeBenchClusterOptions(nodes);
   options.node.cache.enabled =
       options.node.cache.enabled && po.cache_on;  // env can only force OFF
-  if (po.page_size != 0) {
-    options.page_size = po.page_size;
-    options.node.lbp.page_size = po.page_size;
-  }
+  if (po.page_size != 0) options.page_size = po.page_size;
   if (po.lbp_frames != 0) options.node.lbp.frames = po.lbp_frames;
   if (po.cache_slots != 0) options.node.cache.slots = po.cache_slots;
   auto cluster = Cluster::Create(options).value();

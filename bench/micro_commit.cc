@@ -7,13 +7,11 @@
 // engine work or row conflicts. Under the bench latency profile the redo
 // force costs 1.2 ms, so without group commit committed-tps is pinned near
 // 1/force-latency per committer; the pipelined group-commit log writer
-// amortizes one in-flight force over every queued committer, and the
-// opt-in async-commit mode additionally acks the committer at
-// force-enqueue time (durability trails the ack; see TrxManager::Options).
+// amortizes one in-flight force over every queued committer.
 //
-// Sweeps committers {1, 2, 4, 8} in both modes and prints tps, scaling
-// vs. one committer, and the mean force group size (appends per device
-// force) for each point. Standard bench env knobs apply
+// Sweeps committers {1, 2, 4, 8} and prints tps, scaling vs. one
+// committer, and the mean force group size (appends per device force) for
+// each point. Standard bench env knobs apply
 // (POLARMP_BENCH_MEASURE_MS, POLARMP_BENCH_WARMUP_MS); emits the usual
 // metrics sidecar, which carries the full log_writer.group_size histogram.
 
@@ -35,11 +33,8 @@ struct Point {
   double mean_group = 0;  // log appends per device force during measure
 };
 
-Point RunPoint(int committers, bool async_commit,
-               const bench::BenchConfig& cfg) {
-  ClusterOptions options = bench::MakeBenchClusterOptions(1);
-  options.node.trx.async_commit = async_commit;
-  auto cluster_or = Cluster::Create(options);
+Point RunPoint(int committers, const bench::BenchConfig& cfg) {
+  auto cluster_or = Cluster::Create(bench::MakeBenchClusterOptions(1));
   POLARMP_CHECK(cluster_or.ok());
   auto cluster = std::move(cluster_or).value();
   auto node_or = cluster->AddNode();
@@ -112,12 +107,11 @@ Point RunPoint(int committers, bool async_commit,
   return p;
 }
 
-void RunSweep(const char* label, bool async_commit,
-              const bench::BenchConfig& cfg) {
-  std::printf("\n-- %s --\n", label);
+void RunSweep(const bench::BenchConfig& cfg) {
+  std::printf("\n-- durable commit (blocking Session::Commit) --\n");
   std::vector<Point> points;
   for (int committers : {1, 2, 4, 8}) {
-    points.push_back(RunPoint(committers, async_commit, cfg));
+    points.push_back(RunPoint(committers, cfg));
     const Point& p = points.back();
     const double base = points.front().tps;
     std::printf(
@@ -150,10 +144,7 @@ int main() {
                            "commit-path scaling with concurrent committers");
   std::printf("force latency: %.1f ms (BenchLatencyProfile log_append_ns)\n",
               BenchLatencyProfile().log_append_ns / 1e6);
-  RunSweep("sync commit (blocking Session::Commit)", /*async_commit=*/false,
-           cfg);
-  RunSweep("async commit (acked at force enqueue, trx.async_commit)",
-           /*async_commit=*/true, cfg);
+  RunSweep(cfg);
   PrintGroupSizeHistogram();
   bench::EmitMetricsSidecar("micro_commit");
   return 0;

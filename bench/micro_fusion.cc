@@ -97,7 +97,7 @@ void BM_PLockFusionGrant(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         fusion->AcquirePLock(1, page, LockMode::kExclusive, 1000));
-    fusion->ReleasePLock(1, page).ok();
+    fusion->ReleasePLock(1, page, LockMode::kExclusive).ok();
   }
 }
 BENCHMARK(BM_PLockFusionGrant);

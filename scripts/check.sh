@@ -142,9 +142,9 @@ run_mode() {
       ;;
     smoke)
       # Commit-pipeline smoke: the micro_commit bench at a short measure
-      # window exercises group formation, async commit and the finalizer
-      # under real thread interleavings, and must emit its metrics sidecar
-      # (the group-size histogram rides in it).
+      # window exercises group formation and same-thread commit
+      # finalization under real thread interleavings, and must emit its
+      # metrics sidecar (the group-size histogram rides in it).
       cmake -B build -S .
       cmake --build build -j "${JOBS}" --target micro_commit
       local smoke_dir="build/smoke"

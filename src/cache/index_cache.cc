@@ -8,17 +8,19 @@
 namespace polarmp {
 
 IndexCache::IndexCache(NodeId node, Fabric* fabric,
-                       BufferFusion* buffer_fusion, const Options& options)
+                       BufferFusion* buffer_fusion, uint32_t page_size,
+                       const Options& options)
     : node_(node),
       fabric_(fabric),
       buffer_fusion_(buffer_fusion),
+      page_size_(page_size),
       options_(options),
       table_(options.slots) {
   if (!enabled()) return;
   slots_.reserve(options_.slots);
   for (uint32_t i = 0; i < options_.slots; ++i) {
     auto s = std::make_unique<Slot>(i);
-    s->data = std::make_unique<char[]>(options_.page_size);
+    s->data = std::make_unique<char[]>(page_size_);
     slots_.push_back(std::move(s));
   }
   // polarlint: allow(raw-atomic) one-sided RDMA target (kCacheFlagsRegion)
@@ -94,7 +96,7 @@ bool IndexCache::RouteHop(PageId page, int64_t key, PageNo* child,
       if (!st.ok()) return false;  // DSM unreachable: guarded path instead
       continue;                    // revalidate and route
     }
-    Page image(slot->data.get(), options_.page_size);
+    Page image(slot->data.get(), page_size_);
     if (image.level() == 0) {
       // The refresh pulled a version from BEFORE the page became internal
       // (only possible for the root, whose level grows in place; the DBP
@@ -153,7 +155,7 @@ Status IndexCache::Install(PageId page, const char* bytes, uint8_t level) {
     invalid_flags_[bound].store(0, std::memory_order_release);
     slot->seq = kUnknownSeq;
     lock.unlock();
-    std::memcpy(slot->data.get(), bytes, options_.page_size);
+    std::memcpy(slot->data.get(), bytes, page_size_);
     slot->latch.unlock();
     return Status::OK();
   }
@@ -220,7 +222,7 @@ Status IndexCache::Install(PageId page, const char* bytes, uint8_t level) {
   // already found the new binding block on the latch until the image is
   // complete. The caller's PLock guarantees no remote push (and hence no
   // missed invalidation) races this copy.
-  std::memcpy(slot->data.get(), bytes, options_.page_size);
+  std::memcpy(slot->data.get(), bytes, page_size_);
   slot->latch.unlock();
   return Status::OK();
 }

@@ -58,7 +58,6 @@ class IndexCache {
     bool enabled = true;
     // Number of page slots. 0 disables the cache outright.
     uint32_t slots = 1024;
-    uint32_t page_size = 8192;
   };
 
   struct RouteResult {
@@ -73,8 +72,9 @@ class IndexCache {
     uint32_t levels_skipped = 0;
   };
 
+  // Slots hold page images of `page_size` bytes (the LBP's page size).
   IndexCache(NodeId node, Fabric* fabric, BufferFusion* buffer_fusion,
-             const Options& options);
+             uint32_t page_size, const Options& options);
   ~IndexCache();
 
   IndexCache(const IndexCache&) = delete;
@@ -115,7 +115,7 @@ class IndexCache {
   // copies in every flag region.
   void DropAll() NO_THREAD_SAFETY_ANALYSIS;
 
-  uint32_t page_size() const { return options_.page_size; }
+  uint32_t page_size() const { return page_size_; }
 
   // Telemetry shims over this instance's registry handles ("index_cache.*").
   uint64_t hits() const { return hits_.Value(); }
@@ -179,6 +179,7 @@ class IndexCache {
   const NodeId node_;
   Fabric* const fabric_;
   BufferFusion* const buffer_fusion_;
+  const uint32_t page_size_;
   const Options options_;
 
   mutable RankedMutex mu_{LockRank::kIndexCache, "index_cache.table"};

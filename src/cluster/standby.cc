@@ -69,37 +69,7 @@ Status StandbyReplicator::ApplyRecord(const LogRecord& rec) {
   POLARMP_ASSIGN_OR_RETURN(char* buf, PageFor(rec.page_id));
   Page page(buf, options_.page_size);
   if (page.llsn() >= rec.llsn) return Status::OK();
-  switch (rec.type) {
-    case LogRecordType::kInitPage: {
-      if (rec.body.size() < 9) return Status::Corruption("bad kInitPage");
-      page.Init(rec.page_id, static_cast<uint8_t>(rec.body[0]),
-                DecodeFixed32(rec.body.data() + 1),
-                DecodeFixed32(rec.body.data() + 5));
-      break;
-    }
-    case LogRecordType::kWriteRow:
-      POLARMP_RETURN_IF_ERROR(page.WriteRow(rec.body));
-      break;
-    case LogRecordType::kRemoveRow: {
-      const Status s = page.RemoveRow(
-          static_cast<int64_t>(DecodeFixed64(rec.body.data())));
-      if (!s.ok() && !s.IsNotFound()) return s;
-      break;
-    }
-    case LogRecordType::kSetPageLinks:
-      page.set_links(DecodeFixed32(rec.body.data()),
-                     DecodeFixed32(rec.body.data() + 4));
-      break;
-    case LogRecordType::kLoadRows:
-      POLARMP_RETURN_IF_ERROR(page.LoadRows(rec.body));
-      break;
-    case LogRecordType::kTruncateRows:
-      page.TruncateFromKey(static_cast<int64_t>(rec.aux));
-      break;
-    default:
-      return Status::Corruption("unexpected record type on standby");
-  }
-  page.set_llsn(rec.llsn);
+  POLARMP_RETURN_IF_ERROR(ApplyPageRecord(rec, &page));
   ++records_applied_;
   return Status::OK();
 }

@@ -81,8 +81,6 @@ enum class LockRank : unsigned {
   kCommitGate = 130,  // mtr-commit vs checkpoint-snapshot gate
   kPageLatch = 140,   // per-frame page latch (same-rank: crabbing holds
                       // several at once; see DESIGN.md on why this is safe)
-  kCommitFinalize = 145,  // TrxManager finalize queue (commit completions
-                          // handed off the flusher to the finalizer thread)
   kTrxManager = 150,  // active-transaction table
 
   // ---- node/cluster control plane ----

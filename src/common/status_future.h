@@ -9,16 +9,15 @@
 
 namespace polarmp {
 
-// One-shot completion primitive for the async commit pipeline: a producer
-// (the log writer's flusher, the transaction manager's finalizer) completes
-// it exactly once with a Status; any number of consumers Wait() or poll
-// done(). std::future<Status> would do the same job but cannot participate
-// in the lock-rank order — the shared state's mutex here is a RankedMutex
-// at kFutureState, so completing or awaiting a future while holding an
-// engine lock is caught like any other inversion.
+// One-shot completion primitive for the group-commit log writer: the
+// flusher completes it exactly once with a Status; any number of consumers
+// Wait() or poll done(). std::future<Status> would do the same job but
+// cannot participate in the lock-rank order — the shared state's mutex here
+// is a RankedMutex at kFutureState, so completing or awaiting a future
+// while holding an engine lock is caught like any other inversion.
 //
-// Copyable (shared-state semantics): LogWriter::ForceHandle and
-// TrxManager::CommitFuture are aliases of this type.
+// Copyable (shared-state semantics): LogWriter::ForceHandle is an alias of
+// this type.
 
 namespace status_future_internal {
 

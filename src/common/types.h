@@ -47,12 +47,6 @@ inline constexpr bool CsnIsProvisional(Csn slot_cts) {
 inline constexpr Csn MakeProvisionalCsn(Csn cts) {
   return cts | kCsnProvisionalBit;
 }
-// The raw TSO value under the provisional bit. Only async-commit early lock
-// release looks at it: a writer may overwrite a commit-pending row, and the
-// first-committer-wins check then runs against this pre-force timestamp.
-inline constexpr Csn CsnProvisionalValue(Csn slot_cts) {
-  return slot_cts & ~kCsnProvisionalBit;
-}
 
 // ---------------------------------------------------------------------------
 // PageId: (space, page_no) packed into 64 bits so the lock/buffer fusion

@@ -193,9 +193,11 @@ Status BTree::SplitOnce(int64_t key, size_t need_bytes) {
   obs::TraceSpan span(&smo_ns_);
   Mtr smo(ctx_);
   // The index-wide virtual X lock serializes structure modifications
-  // cluster-wide (§4.3.1), so a cheap SHARED discovery descent is safe:
-  // no other SMO can change the structure underneath us, and concurrent
-  // leaf writes can only change fullness, which the X phase re-verifies.
+  // across nodes (§4.3.1), so a cheap SHARED discovery descent is safe
+  // against remote SMOs. PLocks are per node, though: another thread on
+  // this node may split concurrently under the same lock, changing
+  // fullness or moving the node to a new parent. The X phase re-verifies
+  // both.
   POLARMP_RETURN_IF_ERROR(smo.LockVirtual(IndexLockId()).status());
 
   // Phase 1 — discovery: record each level's page number and fullness.
@@ -264,8 +266,14 @@ Status BTree::SplitOnce(int64_t key, size_t need_bytes) {
         split_idx == path.size() - 1
             ? !node.HasRoomFor(need_bytes)
             : !node.HasRoomFor(kInternalEntrySize);
-    if (!node_full || !parent.HasRoomFor(kInternalEntrySize)) {
-      smo.Commit();  // fullness changed under us; the caller re-descends
+    // A local split of the parent (or of the root above it) may have moved
+    // the node under a new parent; a separator inserted here would then be
+    // out of this parent's range.
+    const bool still_parent =
+        RouteChild(parent, key) == path[split_idx].page_no;
+    if (!node_full || !parent.HasRoomFor(kInternalEntrySize) ||
+        !still_parent) {
+      smo.Commit();  // changed under us; the caller re-descends
       return Status::OK();
     }
     st = SplitNonRoot(&smo, node_guard, parent_guard);

@@ -19,12 +19,13 @@ BufferPool::BufferPool(NodeId node, Fabric* fabric,
       page_store_(page_store),
       llsn_clock_(llsn_clock),
       options_(options),
+      page_size_(page_store->page_size()),
       // polarlint: allow(raw-atomic) one-sided RDMA target (kLbpFlagsRegion)
       invalid_flags_(new std::atomic<uint64_t>[options.frames]) {
   frames_.reserve(options_.frames);
   for (uint32_t i = 0; i < options_.frames; ++i) {
     auto f = std::make_unique<Frame>();
-    f->data = std::make_unique<char[]>(options_.page_size);
+    f->data = std::make_unique<char[]>(page_size_);
     frames_.push_back(std::move(f));
     invalid_flags_[i].store(0, std::memory_order_relaxed);
   }
@@ -126,7 +127,7 @@ Status BufferPool::LoadFrame(uint32_t idx, PageId page_id, bool create) {
       buffer_fusion_->RegisterCopy(node_, page_id, FlagOffset(idx)));
   f.r_addr = reg.frame;
   if (create) {
-    std::memset(f.data.get(), 0, options_.page_size);
+    std::memset(f.data.get(), 0, page_size_);
     return Status::OK();
   }
   if (reg.present) {

@@ -32,7 +32,6 @@ class BufferPool {
  public:
   struct Options {
     uint32_t frames = 1024;
-    uint32_t page_size = 8192;
   };
 
   // Handle to a pinned frame. Valid until Unpin.
@@ -106,7 +105,7 @@ class BufferPool {
   std::vector<PageId> DirtyPages() const;
 
   NodeId node() const { return node_; }
-  uint32_t page_size() const { return options_.page_size; }
+  uint32_t page_size() const { return page_size_; }
   Fabric* fabric() const { return fabric_; }
 
   // Telemetry shims over this instance's registry handles
@@ -177,6 +176,7 @@ class BufferPool {
   PageStore* const page_store_;
   LlsnClock* const llsn_clock_;
   const Options options_;
+  const uint32_t page_size_;  // the page store's
 
   // polarlint: unguarded(installed once by DbNode before traffic)
   std::function<Status(Lsn)> force_log_;

@@ -139,7 +139,7 @@ Status PLockManager::ForceRelease(PageId page) {
   return Status::OK();
 }
 
-void PLockManager::ReturnToFusion(PageId page) {
+void PLockManager::ReturnToFusion(PageId page, LockMode mode) {
   // Doorbell batch: the hook's dirty-push NotifyPush and the release RPC
   // ride one fabric operation.
   RpcBatch batch(fusion_->fabric(), node_, kPmfsEndpoint);
@@ -150,7 +150,7 @@ void PLockManager::ReturnToFusion(PageId page) {
                         << page.ToString() << ": " << s.ToString();
     }
   }
-  const Status s = fusion_->ReleasePLock(node_, page);
+  const Status s = fusion_->ReleasePLock(node_, page, mode);
   if (!s.ok() && !s.IsNotFound()) {
     POLARMP_LOG(Warn) << "PLock release failed for page " << page.ToString()
                       << ": " << s.ToString();
@@ -159,8 +159,9 @@ void PLockManager::ReturnToFusion(PageId page) {
 
 void PLockManager::ReleaseLocked(PageId page) {
   negotiated_releases_.Inc();
+  const LockMode mode = entries_[page.Pack()].mode;
   mu_.unlock();
-  ReturnToFusion(page);
+  ReturnToFusion(page, mode);
   mu_.lock();
   entries_.erase(page.Pack());
   cv_.notify_all();
@@ -169,12 +170,16 @@ void PLockManager::ReleaseLocked(PageId page) {
 void PLockManager::PartialReleaseLocked(PageId page) {
   Entry& e = entries_[page.Pack()];
   e.releasing = true;
+  const LockMode mode = e.mode;
   mu_.unlock();
-  ReturnToFusion(page);
+  ReturnToFusion(page, mode);
   mu_.lock();
   Entry& e2 = entries_[page.Pack()];
   e2.releasing = false;
-  e2.release_requested = false;
+  // release_requested stays set: a negotiation for the upgraded hold may
+  // have arrived while we released (fusion re-negotiates at the grant), and
+  // clearing it would strand that hold. At worst the new hold is given
+  // back once more eagerly.
   if (e2.acquiring) {
     // The queued acquire has not landed yet; we no longer hold anything.
     e2.held = false;

@@ -110,8 +110,9 @@ class PLockManager {
   void PartialReleaseLocked(PageId page) REQUIRES(mu_);
 
   // Pushes the page if dirty (the before-release hook), then gives the
-  // node's hold back to Lock Fusion; both ride one doorbell batch.
-  void ReturnToFusion(PageId page) EXCLUDES(mu_);
+  // node's hold, held in `mode`, back to Lock Fusion; both ride one
+  // doorbell batch.
+  void ReturnToFusion(PageId page, LockMode mode) EXCLUDES(mu_);
 
   const NodeId node_;
   LockFusion* const fusion_;

@@ -7,18 +7,6 @@
 
 namespace polarmp {
 
-namespace {
-
-// Cache slots hold LBP page images, so the cache's page size always follows
-// the LBP's (whatever the option struct says).
-IndexCache::Options MakeCacheOptions(const NodeOptions& options) {
-  IndexCache::Options o = options.cache;
-  o.page_size = options.lbp.page_size;
-  return o;
-}
-
-}  // namespace
-
 std::string EncodeIndexedValue(const std::vector<uint64_t>& index_cols,
                                Slice payload) {
   std::string out;
@@ -48,7 +36,7 @@ DbNode::DbNode(NodeId id, const ClusterServices& services,
            &llsn_, options.lbp),
       plock_(id, services.lock_fusion, options.lazy_plock_release),
       cache_(id, services.fabric, services.buffer_fusion,
-             MakeCacheOptions(options)),
+             services.page_store->page_size(), options.cache),
       tso_client_(services.txn_fusion->tso(), id, options.linear_lamport),
       trx_mgr_(&engine_ctx_, services.tit, &tso_client_, services.txn_fusion,
                services.lock_fusion, services.undo, options.trx) {
@@ -114,7 +102,8 @@ Status DbNode::RunRecovery() {
   Recovery::Options opts;
   opts.reader = id_;
   Recovery recovery(services_.log_store, services_.page_store, services_.undo,
-                    services_.buffer_fusion, options_.lbp.page_size, opts);
+                    services_.buffer_fusion,
+                    services_.page_store->page_size(), opts);
   POLARMP_ASSIGN_OR_RETURN(auto uncommitted, recovery.RedoReplay({id_}));
   POLARMP_RETURN_IF_ERROR(recovery.FlushPages());
   // Roll back in-flight transactions through the live engine (the pages
@@ -154,9 +143,6 @@ Status DbNode::Stop() {
     bg_cv_.notify_all();
   }
   background_.join();
-  // Let in-flight force completions finalize against the live engine before
-  // the checkpoint snapshots state.
-  trx_mgr_.DrainCommitQueue();
   POLARMP_RETURN_IF_ERROR(Checkpoint());
   // Committed rows we wrote stay resolvable through the registry-held TIT.
   services_.tit->MarkDeparted(id_, true);
@@ -179,14 +165,9 @@ void DbNode::Crash() {
     bg_cv_.notify_all();
   }
   background_.join();
-  // Quiesce the commit pipeline first: pending forces drain with Aborted
-  // (running their FinishCommit continuations against the still-live
-  // engine), the volatile log buffer evaporates, and no flusher callback
-  // can fire once the services deregister below.
+  // Quiesce the log first: pending forces complete with Aborted and the
+  // volatile log buffer evaporates before the services deregister below.
   log_writer_.Abandon();
-  // The abandoned forces' FinishCommit continuations (all Aborted) must run
-  // while the engine is still alive; after this no commit work is queued.
-  trx_mgr_.DrainCommitQueue();
   // Volatile state evaporates; PMFS keeps the exclusive PLocks as ghosts
   // and the DBP keeps every pushed page — that is the §5.5 recovery story.
   services_.fabric->DeregisterEndpoint(id_);
@@ -294,14 +275,9 @@ void DbNode::BackgroundLoop() {
         log_writer_.Add({MakeLlsnMark(id_, llsn_.Current())});
       }
       // Fire-and-forget: the heartbeat only needs the LLSN mark durable
-      // eventually; the next tick retries anyway, so nothing waits here.
-      const NodeId hb_node = id_;
-      log_writer_.ForceAllAsync([hb_node](Status hb) {
-        if (!hb.ok() && !hb.IsAborted()) {
-          POLARMP_LOG(Warn) << "node " << hb_node
-                            << " heartbeat force failed: " << hb.ToString();
-        }
-      });
+      // eventually, so nothing waits on the handle. A failing log device
+      // surfaces at the next Checkpoint(), whose force is waited on.
+      log_writer_.ForceAllAsync();
       // Background dirty-page push (§4.2): keeps the DBP current so peers
       // and crash recovery find the latest pages in disaggregated memory.
       for (PageId page : lbp_.DirtyPages()) {

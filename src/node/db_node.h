@@ -30,9 +30,10 @@ struct ClusterServices {
 };
 
 struct NodeOptions {
+  // Both caches hold page images of the cluster's page size
+  // (ClusterOptions::page_size, read from the page store).
   BufferPool::Options lbp;
   // Compute-side index cache (internal B-tree pages, one-sided refresh).
-  // `cache.page_size` is ignored: the cache always follows `lbp.page_size`.
   IndexCache::Options cache;
   uint64_t plock_timeout_ms = 10'000;
   TrxManager::Options trx;

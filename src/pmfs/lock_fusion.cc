@@ -238,15 +238,15 @@ Status LockFusion::AcquirePLockImpl(NodeId node, PageId page, LockMode mode,
   return Status::OK();
 }
 
-Status LockFusion::ReleasePLock(NodeId node, PageId page) {
+Status LockFusion::ReleasePLock(NodeId node, PageId page, LockMode mode) {
   const uint64_t request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
   return RetryTransient(fabric_, [&] {
-    return ReleasePLockRpc(node, page, request_id);
+    return ReleasePLockRpc(node, page, mode, request_id);
   });
 }
 
-Status LockFusion::ReleasePLockRpc(NodeId node, PageId page,
+Status LockFusion::ReleasePLockRpc(NodeId node, PageId page, LockMode mode,
                                    uint64_t request_id) {
   POLARMP_RETURN_IF_ERROR(
       fabric_->InjectRpcFault(node, kPmfsEndpoint, FaultOp::kRpcRequest));
@@ -257,14 +257,15 @@ Status LockFusion::ReleasePLockRpc(NodeId node, PageId page,
     fabric_->ChargeRpc(node, kPmfsEndpoint);
     return *hit;
   }
-  const Status result = ReleasePLockImpl(node, page);
+  const Status result = ReleasePLockImpl(node, page, mode);
   dedup_.Record(node, request_id, result);
   POLARMP_RETURN_IF_ERROR(
       fabric_->InjectRpcFault(node, kPmfsEndpoint, FaultOp::kRpcReply));
   return result;
 }
 
-Status LockFusion::ReleasePLockImpl(NodeId node, PageId page) {
+Status LockFusion::ReleasePLockImpl(NodeId node, PageId page,
+                                    LockMode mode) {
   plock_release_rpcs_.Inc();
   fabric_->ChargeRpc(node, kPmfsEndpoint);
   std::vector<NodeId> targets;
@@ -275,9 +276,15 @@ Status LockFusion::ReleasePLockImpl(NodeId node, PageId page) {
       return Status::NotFound("PLock entry missing: " + page.ToString());
     }
     PLockEntry& entry = it->second;
-    if (entry.holders.erase(node) == 0) {
+    const auto held = entry.holders.find(node);
+    if (held == entry.holders.end()) {
       return Status::NotFound("node does not hold PLock: " + page.ToString());
     }
+    // The node's queued upgrade was granted after it sent this release:
+    // the X hold is newer than the S the node gave back, and the node
+    // already counts on it. (The grant re-armed negotiation for it.)
+    if (held->second > mode) return Status::OK();
+    entry.holders.erase(held);
     entry.negotiated.erase(node);
     TryGrant(page, &entry, &targets);
     if (entry.holders.empty() && entry.queue.empty()) {

@@ -71,9 +71,12 @@ class LockFusion {
   // (the lost-reply case) instead of granting twice.
   Status AcquirePLock(NodeId node, PageId page, LockMode mode,
                       uint64_t timeout_ms);
-  // Gives the node's hold back entirely (called when the local reference
-  // count is zero and a negotiation asked for the page, or on eviction).
-  Status ReleasePLock(NodeId node, PageId page);
+  // Gives back the node's hold, which the node holds in `mode` (called when
+  // the local reference count is zero and a negotiation asked for the
+  // page). If fusion has meanwhile granted the node a stronger mode — its
+  // own upgrade, queued before the release was sent — that fresh hold is
+  // kept: the release raced the grant and gives back nothing.
+  Status ReleasePLock(NodeId node, PageId page, LockMode mode);
 
   // True if fusion records `node` as holding `page` at ≥ `mode`.
   bool HoldsPLock(NodeId node, PageId page, LockMode mode) const;
@@ -133,11 +136,12 @@ class LockFusion {
   // injected transients around these with the SAME request id.
   Status AcquirePLockRpc(NodeId node, PageId page, LockMode mode,
                          uint64_t timeout_ms, uint64_t request_id);
-  Status ReleasePLockRpc(NodeId node, PageId page, uint64_t request_id);
+  Status ReleasePLockRpc(NodeId node, PageId page, LockMode mode,
+                         uint64_t request_id);
   // Service bodies (the pre-fault-injection semantics, verbatim).
   Status AcquirePLockImpl(NodeId node, PageId page, LockMode mode,
                           uint64_t timeout_ms);
-  Status ReleasePLockImpl(NodeId node, PageId page);
+  Status ReleasePLockImpl(NodeId node, PageId page, LockMode mode);
   Status RegisterWaitImpl(GTrxId waiter, GTrxId holder);
 
   // Grants as many FIFO waiters as compatibility allows. Returns the pages'

@@ -59,9 +59,9 @@ class TransactionFusion {
   // ---- telemetry ------------------------------------------------------------
   // Shims over this instance's registry handles ("txn_fusion.*" families).
   // The commit-path latency decomposition ("txn_fusion.commit*_ns":
-  // enqueue/tso on the committer thread, log across the group force,
-  // finalize on the commit finalizer thread) is recorded node-side by
-  // TrxManager::CommitAsync and FinishCommit.
+  // enqueue/tso, log across the group force, finalize — all on the
+  // committer thread) is recorded node-side by TrxManager::Commit and
+  // FinishCommit.
   uint64_t min_view_reports() const { return min_view_reports_.Value(); }
   uint64_t min_view_reads() const { return min_view_reads_.Value(); }
   uint64_t llsn_merges() const { return llsn_merges_.Value(); }

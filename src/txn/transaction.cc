@@ -16,70 +16,7 @@ TrxManager::TrxManager(EngineContext* engine, Tit* tit, TsoClient* tso,
       txn_fusion_(txn_fusion),
       lock_fusion_(lock_fusion),
       undo_(undo),
-      options_(options) {
-  finalizer_ = std::thread([this] { FinalizerLoop(); });
-}
-
-TrxManager::~TrxManager() {
-  std::deque<FinalizeItem> leftovers;
-  {
-    MutexLock lock(finalize_mu_);
-    finalize_stop_ = true;
-    leftovers.swap(finalize_queue_);
-    finalize_cv_.notify_all();
-  }
-  finalizer_.join();
-  // Anything still queued at destruction lost its engine: complete the
-  // callbacks without touching state (graceful Stop and Crash both drain
-  // the queue earlier, so this is normally empty).
-  for (FinalizeItem& item : leftovers) {
-    if (item.done) item.done(Status::Aborted("trx manager shutdown"));
-  }
-}
-
-void TrxManager::EnqueueFinalize(FinalizeItem item) {
-  {
-    MutexLock lock(finalize_mu_);
-    if (!finalize_stop_) {
-      finalize_queue_.push_back(std::move(item));
-      finalize_cv_.notify_all();
-      return;
-    }
-  }
-  if (item.done) item.done(Status::Aborted("trx manager shutdown"));
-}
-
-void TrxManager::FinalizerLoop() {
-  UniqueLock lock(finalize_mu_);
-  for (;;) {
-    finalize_cv_.wait(lock, [this]() REQUIRES(finalize_mu_) {
-      return finalize_stop_ || !finalize_queue_.empty();
-    });
-    if (finalize_queue_.empty()) {
-      if (finalize_stop_) return;
-      continue;
-    }
-    FinalizeItem item = std::move(finalize_queue_.front());
-    finalize_queue_.pop_front();
-    finalize_busy_ = true;
-    lock.unlock();
-    // Off-lock: FinishCommit may block (page latches, even a log force via
-    // eviction — safe here, the flusher is free to serve it).
-    FinishCommit(item.trx, item.provisional_cts, std::move(item.force_status),
-                 std::move(item.done));
-    commit_ns_.Record(obs::TraceSpan::NowNanos() - item.commit_start_ns);
-    lock.lock();
-    finalize_busy_ = false;
-    if (finalize_queue_.empty()) finalize_cv_.notify_all();
-  }
-}
-
-void TrxManager::DrainCommitQueue() {
-  UniqueLock lock(finalize_mu_);
-  finalize_cv_.wait(lock, [this]() REQUIRES(finalize_mu_) {
-    return finalize_queue_.empty() && !finalize_busy_;
-  });
-}
+      options_(options) {}
 
 StatusOr<Transaction*> TrxManager::Begin(IsolationLevel iso) {
   UniqueLock lock(mu_);
@@ -266,25 +203,10 @@ Status TrxManager::WriteRow(Transaction* trx, BTree* tree, int64_t key,
         POLARMP_ASSIGN_OR_RETURN(RowView row, leaf.RowAt(pos.slot));
         // A backfilled row CTS proves the writer committed even when its
         // TIT is unreachable; only unresolved rows consult the TIT.
-        Csn row_commit_cts =
+        const Csn row_commit_cts =
             row.g_trx_id == trx->gid()
                 ? trx->view().cts  // own write, trivially "visible"
                 : GetCtsForVersion(row.g_trx_id, row.cts);
-        if (options_.async_commit && row.g_trx_id != trx->gid() &&
-            row_commit_cts == kCsnMax && row.cts == kCsnInit) {
-          // Early lock release (async-commit mode): a row whose owner is
-          // commit-PENDING (provisional CTS published, force on the wire)
-          // is writable without waiting — the overwrite's own commit record
-          // lands later in the same per-node log, so it can never become
-          // durable before its predecessor's. For the SI conflict check
-          // below the owner counts as committed at its provisional
-          // timestamp. Readers keep resolving it as active (not durable).
-          auto slot = tit_->ReadSlot(node(), row.g_trx_id);
-          if (slot.ok() && slot.value().version == GTrxVersion(row.g_trx_id) &&
-              CsnIsProvisional(slot.value().cts)) {
-            row_commit_cts = CsnProvisionalValue(slot.value().cts);
-          }
-        }
         if (row.g_trx_id != trx->gid() && row_commit_cts == kCsnMax) {
           // Embedded row lock held by another live transaction (§4.3.2).
           conflict_holder = row.g_trx_id;
@@ -439,17 +361,6 @@ StatusOr<std::string> TrxManager::ReadRowForUpdate(Transaction* trx,
 }
 
 Status TrxManager::Commit(Transaction* trx) {
-  return CommitAsync(trx).Wait();
-}
-
-TrxManager::CommitFuture TrxManager::CommitAsync(Transaction* trx) {
-  auto promise = std::make_shared<StatusPromise>();
-  CommitFuture future = promise->future();
-  CommitAsync(trx, [promise](Status s) { promise->Set(std::move(s)); });
-  return future;
-}
-
-void TrxManager::CommitAsync(Transaction* trx, CommitCallback done) {
   POLARMP_CHECK_EQ(trx->state_, TrxState::kActive);
   if (!trx->has_writes()) {
     trx->state_ = TrxState::kCommitted;
@@ -457,12 +368,11 @@ void TrxManager::CommitAsync(Transaction* trx, CommitCallback done) {
     tit_->FreeSlot(trx->gid());
     FinishWaiters(trx);
     all_commits_.Inc();
-    done(Status::OK());
-    return;
+    return Status::OK();
   }
   commits_.Inc();
   all_commits_.Inc();
-  const uint64_t commit_start_ns = obs::TraceSpan::NowNanos();
+  obs::TraceSpan commit_span(&commit_ns_);
   obs::TraceSpan enqueue_span(&commit_enqueue_ns_);
   // 1. Commit timestamp from the TSO (one-sided RDMA fetch-add).
   obs::TraceSpan tso_span(&commit_tso_ns_);
@@ -470,9 +380,9 @@ void TrxManager::CommitAsync(Transaction* trx, CommitCallback done) {
   if (!cts_or.ok()) {
     tso_span.Cancel();
     enqueue_span.Cancel();
+    commit_span.Cancel();
     // Nothing published, still kActive: the caller rolls back.
-    done(cts_or.status());
-    return;
+    return cts_or.status();
   }
   tso_span.Finish();
   const Csn cts = cts_or.value();
@@ -482,75 +392,33 @@ void TrxManager::CommitAsync(Transaction* trx, CommitCallback done) {
   // lost-update window, DESIGN.md §6).
   tit_->PublishProvisionalCts(trx->gid(), cts);
   trx->state_.store(TrxState::kCommitting, std::memory_order_release);
-  {
-    MutexLock lock(mu_);
-    trx->commit_pending_ = true;
-  }
-  // 2. Durability: buffer the commit record and ENQUEUE the force ("before
-  //    committing a transaction, the corresponding redo logs are
-  //    synchronized to the storage", §4.4). The flusher amortizes one
-  //    storage append over every committer queued behind this handle; the
-  //    completion (FinishCommit) finalizes visibility. The record carries
-  //    the provisional CTS; recovery backfills rows with it.
+  // 2. Durability: buffer the commit record and wait for the group force
+  //    that covers it ("before committing a transaction, the corresponding
+  //    redo logs are synchronized to the storage", §4.4). The flusher
+  //    amortizes one storage append over every committer queued behind
+  //    this target. The record carries the provisional CTS; recovery
+  //    backfills rows with it.
   const Lsn end =
       engine_->log->Add({MakeTrxCommit(node(), trx->gid(), cts)});
-  const uint64_t log_start_ns = obs::TraceSpan::NowNanos();
   enqueue_span.Finish();
-  if (options_.async_commit) {
-    // Client-visible commit point = enqueue. Acknowledge now; the force
-    // completion finalizes in the background, and a force FAILURE rolls
-    // back an already-acknowledged commit (the documented crash window of
-    // this mode).
-    engine_->log->ForceAsync(
-        end, [this, trx, cts, commit_start_ns, log_start_ns](Status s) {
-          commit_log_ns_.Record(obs::TraceSpan::NowNanos() - log_start_ns);
-          EnqueueFinalize({trx, cts, std::move(s), nullptr, commit_start_ns});
-        });
-    done(Status::OK());
-    return;
-  }
-  // The force callback runs on the flusher thread and must not block:
-  // FinishCommit is handed to the finalizer thread, which completes `done`.
-  engine_->log->ForceAsync(
-      end, [this, trx, cts, commit_start_ns, log_start_ns,
-            done = std::move(done)](Status s) mutable {
-        commit_log_ns_.Record(obs::TraceSpan::NowNanos() - log_start_ns);
-        EnqueueFinalize(
-            {trx, cts, std::move(s), std::move(done), commit_start_ns});
-      });
+  obs::TraceSpan log_span(&commit_log_ns_);
+  Status forced = engine_->log->ForceAsync(end).Wait();
+  log_span.Finish();
+  return FinishCommit(trx, cts, std::move(forced));
 }
 
-void TrxManager::FinishCommit(Transaction* trx, Csn provisional_cts,
-                              Status force_status, CommitCallback done) {
+Status TrxManager::FinishCommit(Transaction* trx, Csn provisional_cts,
+                                Status force_status) {
   if (!force_status.ok()) {
-    if (force_status.IsAborted()) {
-      // Crash drain (LogWriter::Abandon): the buffer is gone and the node
-      // is tearing down — record the outcome, touch no engine state.
-      trx->state_.store(TrxState::kRolledBack, std::memory_order_release);
-      FinishCommitBookkeeping(trx);
-      if (done) done(std::move(force_status));
-      return;
-    }
-    // Force failed: nothing durable, nothing published beyond the
+    // Crash drain (LogWriter::Abandon, Aborted): the buffer is gone and the
+    // node is tearing down — record the outcome, touch no engine state.
+    // Any other failure: nothing durable, nothing published beyond the
     // provisional CTS (which no reader ever admits). Re-activate so the
-    // row images can be undone.
-    trx->state_.store(TrxState::kActive, std::memory_order_release);
-    if (options_.async_commit) {
-      // The client already saw OK at enqueue: an acknowledged commit is
-      // lost. Undo it right here — this is the finalizer thread, which may
-      // block on the page writes rollback performs.
-      POLARMP_LOG(Warn) << "async commit of trx " << trx->gid()
-                        << " failed after acknowledgement, rolling back: "
-                        << force_status.ToString();
-      const Status undo = Rollback(trx);
-      if (!undo.ok()) {
-        POLARMP_LOG(Warn) << "abort of failed async commit " << trx->gid()
-                          << " failed: " << undo.ToString();
-      }
-    }
-    FinishCommitBookkeeping(trx);
-    if (done) done(std::move(force_status));
-    return;
+    // caller can undo the row images.
+    trx->state_.store(force_status.IsAborted() ? TrxState::kRolledBack
+                                               : TrxState::kActive,
+                      std::memory_order_release);
+    return force_status;
   }
   obs::TraceSpan finalize_span(&commit_finalize_ns_);
   // 3. Visibility: finalize the TIT slot with a CTS fetched AFTER the force.
@@ -571,31 +439,18 @@ void TrxManager::FinishCommit(Transaction* trx, Csn provisional_cts,
   FinishWaiters(trx);
   finalize_span.Finish();
   // 6. Hand the slot to the recycler once globally visible; tombstoned
-  //    rows join the purge queue for physical removal. Clearing
-  //    commit_pending_ (and honoring a Release that arrived while the
-  //    force was in flight) must precede `done`: once the caller observes
-  //    completion it may Release, and exactly one side performs the erase.
-  {
-    MutexLock lock(mu_);
-    finished_.push_back(FinishedTrx{trx->gid(), final_cts,
-                                    trx->first_undo_offset(),
-                                    undo_->head(node())});
-    for (const auto& touched : trx->touched_) {
-      if (touched.tombstone) {
-        purge_queue_.push_back(
-            PurgeCandidate{touched.space, touched.key, final_cts});
-      }
-    }
-    trx->commit_pending_ = false;
-    if (trx->released_) active_.erase(trx->local_id());  // destroys trx
-  }
-  if (done) done(Status::OK());
-}
-
-void TrxManager::FinishCommitBookkeeping(Transaction* trx) {
+  //    rows join the purge queue for physical removal.
   MutexLock lock(mu_);
-  trx->commit_pending_ = false;
-  if (trx->released_) active_.erase(trx->local_id());  // destroys trx
+  finished_.push_back(FinishedTrx{trx->gid(), final_cts,
+                                  trx->first_undo_offset(),
+                                  undo_->head(node())});
+  for (const auto& touched : trx->touched_) {
+    if (touched.tombstone) {
+      purge_queue_.push_back(
+          PurgeCandidate{touched.space, touched.key, final_cts});
+    }
+  }
+  return Status::OK();
 }
 
 void TrxManager::BackfillCts(Transaction* trx) {
@@ -694,12 +549,6 @@ void TrxManager::Release(Transaction* trx) {
   auto it = active_.find(trx->local_id());
   // Already dropped (crash teardown raced the release): nothing to do.
   if (it == active_.end()) return;
-  if (trx->commit_pending_) {
-    // A force completion (or deferred abort) still owns the object; flag
-    // the release and let whoever clears commit_pending_ erase it.
-    trx->released_ = true;
-    return;
-  }
   POLARMP_CHECK(it->second->state_ != TrxState::kActive)
       << "release of active transaction";
   active_.erase(it);
@@ -857,10 +706,6 @@ Status TrxManager::RollbackRecovered(GTrxId gid, UndoPtr last_undo) {
 }
 
 void TrxManager::DropAll() {
-  // Queued force completions reference Transaction objects that die with
-  // active_: let the finalizer run them against the still-live engine
-  // before anything is dropped.
-  DrainCommitQueue();
   MutexLock lock(mu_);
   active_.clear();
   finished_.clear();

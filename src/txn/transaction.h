@@ -2,16 +2,13 @@
 #define POLARMP_TXN_TRANSACTION_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/lock_rank.h"
-#include "common/status_future.h"
 #include "engine/btree.h"
 #include "engine/undo.h"
 #include "obs/metrics.h"
@@ -24,9 +21,8 @@ namespace polarmp {
 
 enum class TrxState : uint8_t {
   kActive,
-  // Commit enqueued on the log writer's force pipeline: provisional CTS
-  // published, redo buffered, waiting for the group force to land. The
-  // flusher's completion (TrxManager::FinishCommit) moves it on.
+  // Provisional CTS published, commit record buffered, the committer
+  // waiting on its group force; TrxManager::FinishCommit moves it on.
   kCommitting,
   kCommitted,
   kRolledBack,
@@ -93,26 +89,13 @@ class Transaction {
   uint64_t first_undo_offset_ = UINT64_MAX;  // lowest undo offset written
   Lsn first_lsn_ = 0;
   std::vector<TouchedRow> touched_;
-
-  // Commit-pipeline lifecycle, both guarded by TrxManager::mu_: while
-  // commit_pending_ a queued force completion (FinishCommit, on the
-  // finalizer thread) still needs this object, so Release defers the erase
-  // and sets released_ instead; whoever clears commit_pending_ performs it.
-  // polarlint: unguarded(guarded by TrxManager::mu_, annotated there)
-  bool commit_pending_ = false;
-  // polarlint: unguarded(guarded by TrxManager::mu_, annotated there)
-  bool released_ = false;
 };
 
 // Per-node transaction manager: TIT slot lifecycle, MVCC visibility
-// (Algorithm 1), the embedded-row-lock write protocol (§4.3.2), the
-// pipelined commit (enqueue: CTS fetch → provisional publish → redo append
-// → force enqueue; finalize, on force completion: post-force CTS → TIT
-// publish → CTS backfill → waiter notification) and undo-based rollback.
-// Force completions are handed off the flusher thread to a dedicated
-// finalizer thread (FIFO, so finalization follows force order): the
-// flusher's callbacks must never block, but finalization writes pages
-// (backfill, failed-async rollback) and a page eviction forces the log.
+// (Algorithm 1), the embedded-row-lock write protocol (§4.3.2), the durable
+// commit (CTS fetch → provisional publish → redo append → wait on the group
+// force → post-force CTS → TIT publish → CTS backfill → waiter
+// notification, all on the committing thread) and undo-based rollback.
 // The background tick drives min-view reporting, TIT recycling and undo
 // purge.
 class TrxManager {
@@ -120,22 +103,11 @@ class TrxManager {
   struct Options {
     uint64_t lock_wait_timeout_ms = 2'000;
     int write_retry_limit = 64;
-    // Opt-in async-commit mode: the client-visible commit point moves to
-    // force-ENQUEUE time — CommitAsync completes its callback/future as
-    // soon as the commit record is on the group-commit pipeline, row locks
-    // release early (writers may overwrite a kCommitting row), and the CTS
-    // is finalized in the background when the force lands. Trades the
-    // durability wait for a crash window: a commit acknowledged but not yet
-    // forced is rolled back by recovery (its provisional CTS is never
-    // finalized, so no reader ever admitted it). Default off = classic
-    // durable commit (the blocking point is the group force).
-    bool async_commit = false;
   };
 
   TrxManager(EngineContext* engine, Tit* tit, TsoClient* tso,
              TransactionFusion* txn_fusion, LockFusion* lock_fusion,
              UndoStore* undo, const Options& options);
-  ~TrxManager();
 
   TrxManager(const TrxManager&) = delete;
   TrxManager& operator=(const TrxManager&) = delete;
@@ -148,34 +120,18 @@ class TrxManager {
 
   NodeId node() const { return engine_->node; }
 
-  // Commit completion primitive. The future/callback completes with the
-  // commit's outcome Status at the client-visible commit point: once the
-  // group force lands (default), or at force-enqueue (async_commit mode).
-  using CommitFuture = StatusFuture;
-  using CommitCallback = std::function<void(Status)>;
-
   StatusOr<Transaction*> Begin(IsolationLevel iso);
 
-  // Async commit: fetches the CTS, publishes it provisionally, buffers the
-  // commit record and enqueues a force handle on the log writer's pipeline;
-  // returns without blocking. CTS finalization, backfill and waiter wakeup
-  // run in FinishCommit on the commit finalizer thread when the force
-  // completes. The callback form runs `done` on the finalizer thread (no
-  // TrxManager locks held) or inline on the caller for no-write/early-error
-  // paths. On a non-OK completion in the default mode the transaction is
+  // Durable commit: fetches the CTS, publishes it provisionally, buffers the
+  // commit record, waits for the group force that covers it, then
+  // finalizes (FinishCommit) — all on the calling thread. Returns once the
+  // commit is durable and visible. On a non-OK return the transaction is
   // back in kActive and the caller must Rollback it (Session does).
-  CommitFuture CommitAsync(Transaction* trx);
-  void CommitAsync(Transaction* trx, CommitCallback done);
-
-  // Blocking shim over CommitAsync — equivalent to CommitAsync(trx).Wait().
-  // In async_commit mode this still returns at the enqueue point, so the
-  // call is cheap; existing callers (Session) work unchanged in both modes.
   Status Commit(Transaction* trx);
 
   Status Rollback(Transaction* trx);
-  // After Commit/Rollback the pointer stays valid until Release. With a
-  // commit still in flight (async mode) the destruction is deferred to the
-  // force completion; callers must not touch the pointer after Release.
+  // After Commit/Rollback the pointer stays valid until Release; callers
+  // must not touch it afterwards.
   void Release(Transaction* trx);
 
   // ---- row operations (engine-facing; Session wraps them) ----
@@ -226,16 +182,9 @@ class TrxManager {
   // last undo pointer, through the normal (logged, locked) engine path.
   Status RollbackRecovered(GTrxId gid, UndoPtr last_undo);
 
-  // Crash support: forget all volatile transaction state. Drains the
-  // finalize queue first (queued completions reference the Transactions
-  // that die here).
+  // Crash support: forget all volatile transaction state. Callers quiesce
+  // the node's sessions first.
   void DropAll();
-
-  // Blocks until every queued force completion has finished finalizing.
-  // Teardown barrier: after LogWriter::Abandon drained the force queue,
-  // this drains the resulting FinishCommit continuations while the engine
-  // is still alive.
-  void DrainCommitQueue();
 
   // Telemetry shims over this node's registry handles ("txn.*" counters;
   // the commit-path decomposition feeds "txn_fusion.commit*_ns").
@@ -263,33 +212,13 @@ class TrxManager {
   // Best-effort commit-time CTS backfill (§4.1).
   void BackfillCts(Transaction* trx);
 
-  // Force-completion continuation: runs on the commit finalizer thread with
-  // no locks held (NEVER on the flusher thread — it writes pages, and a
-  // page eviction forces the log, which would deadlock the flusher against
-  // itself). Finalizes the CTS (fetched AFTER the force), publishes it,
-  // backfills rows, wakes waiters and completes `done`; on a force error it
-  // re-activates and, in async mode, rolls the acknowledged commit back.
-  void FinishCommit(Transaction* trx, Csn provisional_cts, Status force_status,
-                    CommitCallback done);
-
-  // A force completion queued for the finalizer thread.
-  struct FinalizeItem {
-    Transaction* trx = nullptr;
-    Csn provisional_cts = kCsnInit;
-    Status force_status;
-    CommitCallback done;           // null for async-mode commits
-    uint64_t commit_start_ns = 0;  // feeds txn_fusion.commit_ns
-  };
-
-  // Hands a force completion to the finalizer thread. Called from the
-  // flusher's completion callback (which must not block); if the manager is
-  // already stopping, completes `done` with Aborted inline.
-  void EnqueueFinalize(FinalizeItem item);
-  void FinalizerLoop();
-
-  // Clears trx->commit_pending_ and performs a Release that arrived while
-  // the commit was in flight.
-  void FinishCommitBookkeeping(Transaction* trx);
+  // Second half of Commit, after the force returned `force_status`:
+  // finalizes the CTS (fetched AFTER the force), publishes it, backfills
+  // rows and wakes waiters. On a force error it re-activates the
+  // transaction (or, for a crash drain, marks it rolled back) and returns
+  // the error.
+  Status FinishCommit(Transaction* trx, Csn provisional_cts,
+                      Status force_status);
 
   // Physically removes `key`'s row if it is a globally-visible tombstone.
   Status PurgeRow(SpaceId space, int64_t key, Csn gmin);
@@ -329,18 +258,6 @@ class TrxManager {
   std::vector<PurgeCandidate> purge_queue_ GUARDED_BY(mu_);
   obs::Counter purged_rows_{"txn.purged_rows"};
 
-  // Commit finalizer: force completions queue here (FIFO = force order) and
-  // a dedicated thread runs FinishCommit for each. Kept apart from mu_ so
-  // enqueue — called from the flusher's completion path — contends only
-  // with the finalizer itself.
-  RankedMutex finalize_mu_{LockRank::kCommitFinalize, "txn.finalize"};
-  CondVar finalize_cv_;
-  std::deque<FinalizeItem> finalize_queue_ GUARDED_BY(finalize_mu_);
-  bool finalize_stop_ GUARDED_BY(finalize_mu_) = false;
-  bool finalize_busy_ GUARDED_BY(finalize_mu_) = false;
-  // polarlint: unguarded(joined by the destructor, touched by no one else)
-  std::thread finalizer_;
-
   obs::Counter lock_waits_{"txn.lock_waits"};
   obs::Counter deadlock_aborts_{"txn.deadlock_aborts"};
   obs::Counter commits_{"txn_fusion.commits"};
@@ -348,11 +265,11 @@ class TrxManager {
   // commit pipeline above). Benches derive fabric_ops_per_txn from this.
   obs::Counter all_commits_{"trx.commits"};
 
-  // Commit-path segments, pipelined decomposition: enqueue (CTS fetch +
-  // provisional publish + record append + force enqueue, on the committer
-  // thread), log (force-enqueue to force-landed), finalize (post-force CTS
-  // fetch + TIT publish + backfill + waiter wakeup, on the finalizer
-  // thread), and the whole path. The TSO fetch keeps its own sub-segment.
+  // Commit-path segments, all on the committer thread: enqueue (CTS fetch
+  // + provisional publish + record append), log (the wait on the group
+  // force), finalize (post-force CTS fetch + TIT publish + backfill +
+  // waiter wakeup), and the whole path. The TSO fetch keeps its own
+  // sub-segment.
   obs::LatencyHistogram commit_ns_{"txn_fusion.commit_ns"};
   obs::LatencyHistogram commit_tso_ns_{"txn_fusion.commit_tso_ns"};
   obs::LatencyHistogram commit_enqueue_ns_{"txn_fusion.commit_enqueue_ns"};

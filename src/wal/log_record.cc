@@ -1,6 +1,7 @@
 #include "wal/log_record.h"
 
 #include "common/coding.h"
+#include "engine/page.h"
 
 namespace polarmp {
 
@@ -153,6 +154,42 @@ LogRecord MakeTruncateRows(NodeId node, Llsn llsn, PageId page,
   rec.page_id = page;
   rec.aux = static_cast<uint64_t>(from_key);
   return rec;
+}
+
+Status ApplyPageRecord(const LogRecord& rec, Page* page) {
+  switch (rec.type) {
+    case LogRecordType::kInitPage:
+      if (rec.body.size() < 9) return Status::Corruption("bad kInitPage");
+      page->Init(rec.page_id, static_cast<uint8_t>(rec.body[0]),
+                 DecodeFixed32(rec.body.data() + 1),
+                 DecodeFixed32(rec.body.data() + 5));
+      break;
+    case LogRecordType::kWriteRow:
+      POLARMP_RETURN_IF_ERROR(page->WriteRow(rec.body));
+      break;
+    case LogRecordType::kRemoveRow: {
+      if (rec.body.size() < 8) return Status::Corruption("bad kRemoveRow");
+      const Status s =
+          page->RemoveRow(static_cast<int64_t>(DecodeFixed64(rec.body.data())));
+      if (!s.ok() && !s.IsNotFound()) return s;
+      break;
+    }
+    case LogRecordType::kSetPageLinks:
+      if (rec.body.size() < 8) return Status::Corruption("bad kSetPageLinks");
+      page->set_links(DecodeFixed32(rec.body.data()),
+                      DecodeFixed32(rec.body.data() + 4));
+      break;
+    case LogRecordType::kLoadRows:
+      POLARMP_RETURN_IF_ERROR(page->LoadRows(rec.body));
+      break;
+    case LogRecordType::kTruncateRows:
+      page->TruncateFromKey(static_cast<int64_t>(rec.aux));
+      break;
+    default:
+      return Status::Corruption("not a page record");
+  }
+  page->set_llsn(rec.llsn);
+  return Status::OK();
 }
 
 }  // namespace polarmp

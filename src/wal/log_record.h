@@ -9,6 +9,8 @@
 
 namespace polarmp {
 
+class Page;
+
 // Redo record catalogue. Records are page-scoped and physiological
 // (ARIES-style, §4.4): replay applies a record to its page iff the page's
 // LLSN stamp is older than the record's, which makes replay idempotent and
@@ -75,6 +77,12 @@ LogRecord MakeLoadRows(NodeId node, Llsn llsn, PageId page,
 LogRecord MakeLlsnMark(NodeId node, Llsn llsn);
 LogRecord MakeTruncateRows(NodeId node, Llsn llsn, PageId page,
                            int64_t from_key);
+
+// Page redo, shared by crash recovery and the standby: applies page record
+// `rec` to `page` and stamps the page with rec.llsn. A body too short for
+// its type returns Corruption and leaves the page's LLSN unchanged. The
+// caller decides whether the record is newer than the page.
+Status ApplyPageRecord(const LogRecord& rec, Page* page);
 
 }  // namespace polarmp
 

@@ -1,10 +1,17 @@
 #include "wal/log_writer.h"
 
-#include <algorithm>
+#include <limits>
 
 #include "obs/trace.h"
 
 namespace polarmp {
+
+namespace {
+
+// TakeReady bound that drains every waiter.
+constexpr Lsn kAllTargets = std::numeric_limits<Lsn>::max();
+
+}  // namespace
 
 LogWriter::LogWriter(NodeId node, LogStore* store)
     : node_(node), store_(store) {
@@ -41,43 +48,6 @@ Lsn LogWriter::AddEncoded(const std::string& encoded) {
   return buffer_start_ + buffer_.size();
 }
 
-void LogWriter::ForceAsync(Lsn lsn, ForceCallback cb) {
-  bool already_durable = false;
-  bool beyond_buffer = false;
-  {
-    MutexLock lock(mu_);
-    if (durable_ >= lsn) {
-      already_durable = true;
-    } else if (lsn > buffer_start_ + buffer_.size()) {
-      beyond_buffer = true;
-    }
-  }
-  // Fast paths complete inline on the caller's thread.
-  if (already_durable) {
-    cb(Status::OK());
-    return;
-  }
-  if (beyond_buffer) {
-    cb(Status::Internal("force target beyond buffered log"));
-    return;
-  }
-  Waiter w;
-  w.target = lsn;
-  w.enqueue_ns = obs::TraceSpan::NowNanos();
-  w.cb = std::move(cb);
-  {
-    MutexLock lock(flusher_mu_);
-    if (!abandoned_ && !stop_) {
-      w.seq = next_seq_++;
-      force_queue_depth_.Add(1);
-      waiters_.push_back(std::move(w));
-      flusher_cv_.notify_all();
-      return;
-    }
-  }
-  w.cb(Status::Aborted("log writer abandoned"));
-}
-
 LogWriter::ForceHandle LogWriter::ForceAsync(Lsn lsn) {
   bool already_durable = false;
   bool beyond_buffer = false;
@@ -98,37 +68,24 @@ LogWriter::ForceHandle LogWriter::ForceAsync(Lsn lsn) {
     return handle;
   }
   Waiter w;
-  w.target = lsn;
   w.enqueue_ns = obs::TraceSpan::NowNanos();
-  w.promise = std::make_unique<StatusPromise>();
-  ForceHandle handle = w.promise->future();
-  bool rejected = false;
+  ForceHandle handle = w.promise.future();
   {
     MutexLock lock(flusher_mu_);
-    if (abandoned_ || stop_) {
-      rejected = true;
-    } else {
-      w.seq = next_seq_++;
+    if (!abandoned_ && !stop_) {
       force_queue_depth_.Add(1);
-      waiters_.push_back(std::move(w));
+      waiters_.emplace(lsn, std::move(w));
       flusher_cv_.notify_all();
+      return handle;
     }
   }
-  if (rejected) w.promise->Set(Status::Aborted("log writer abandoned"));
+  w.promise.Set(Status::Aborted("log writer abandoned"));
   return handle;
 }
 
 LogWriter::ForceHandle LogWriter::ForceAllAsync() {
   return ForceAsync(buffered_lsn());
 }
-
-void LogWriter::ForceAllAsync(ForceCallback cb) {
-  ForceAsync(buffered_lsn(), std::move(cb));
-}
-
-Status LogWriter::ForceTo(Lsn lsn) { return ForceAsync(lsn).Wait(); }
-
-Status LogWriter::ForceAll() { return ForceAllAsync().Wait(); }
 
 void LogWriter::PauseFlusher() {
   UniqueLock lock(flusher_mu_);
@@ -156,7 +113,7 @@ void LogWriter::Abandon() {
   flusher_cv_.notify_all();
   // Quiesce: an in-flight force finishes (completing its waiters normally —
   // those bytes made it out), then the flusher drains the rest with
-  // Aborted. On return no completion callback is running or pending.
+  // Aborted. On return every handle is completed.
   flusher_cv_.wait(lock, [&]() REQUIRES(flusher_mu_) {
     return !flusher_busy_ && waiters_.empty();
   });
@@ -168,31 +125,21 @@ size_t LogWriter::pending_forces() const {
 }
 
 std::vector<LogWriter::Waiter> LogWriter::TakeReady(Lsn durable) {
+  const auto end = waiters_.upper_bound(durable);
   std::vector<Waiter> ready;
-  auto it = waiters_.begin();
-  while (it != waiters_.end()) {
-    if (it->target <= durable) {
-      ready.push_back(std::move(*it));
-      it = waiters_.erase(it);
-    } else {
-      ++it;
-    }
+  for (auto it = waiters_.begin(); it != end; ++it) {
+    ready.push_back(std::move(it->second));
   }
-  // Completion order contract: ascending LSN (enqueue order breaks ties).
-  std::sort(ready.begin(), ready.end(), [](const Waiter& a, const Waiter& b) {
-    return a.target != b.target ? a.target < b.target : a.seq < b.seq;
-  });
+  waiters_.erase(waiters_.begin(), end);
   return ready;
 }
 
 void LogWriter::Complete(std::vector<Waiter> ready, const Status& status) {
-  // Runs with NO LogWriter locks held: callbacks may take engine locks
-  // (finalizing a commit acquires the TIT and the transaction table).
+  // Runs with NO LogWriter locks held (rank kFutureState sits below them).
   for (Waiter& w : ready) {
     commit_wait_ns_.Record(obs::TraceSpan::NowNanos() - w.enqueue_ns);
     force_queue_depth_.Add(-1);
-    if (w.promise != nullptr) w.promise->Set(status);
-    if (w.cb) w.cb(status);
+    w.promise.Set(status);
   }
 }
 
@@ -214,7 +161,7 @@ void LogWriter::FlusherLoop() {
       bool exit_now = false;
       {
         MutexLock lock(flusher_mu_);
-        doomed.swap(waiters_);
+        doomed = TakeReady(kAllTargets);
       }
       Complete(std::move(doomed), Status::Aborted("log writer abandoned"));
       {
@@ -266,7 +213,7 @@ void LogWriter::FlusherLoop() {
         std::vector<Waiter> stuck;
         {
           MutexLock lock(flusher_mu_);
-          stuck.swap(waiters_);
+          stuck = TakeReady(kAllTargets);
         }
         Complete(std::move(stuck),
                  Status::Internal("force target beyond buffered log"));
@@ -312,7 +259,7 @@ void LogWriter::FlusherLoop() {
           std::vector<Waiter> failed;
           {
             MutexLock lock(flusher_mu_);
-            failed.swap(waiters_);
+            failed = TakeReady(kAllTargets);
           }
           Complete(std::move(failed), force_status);
         }

@@ -1,7 +1,7 @@
 #ifndef POLARMP_WAL_LOG_WRITER_H_
 #define POLARMP_WAL_LOG_WRITER_H_
 
-#include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,29 +17,25 @@ namespace polarmp {
 // Per-node redo log front end: buffers encoded records in LSN order and
 // forces them to the LogStore with a pipelined group commit.
 //
-// Committers append records (Add/AddEncoded) and enqueue a force target
-// with ForceAsync instead of blocking; a dedicated flusher thread claims
+// Committers append records (Add/AddEncoded), enqueue a force target with
+// ForceAsync and Wait() on the handle; a dedicated flusher thread claims
 // the whole buffer, performs ONE storage append for every queued committer,
-// and completes their handles/callbacks in LSN order. While an append is on
-// the wire the buffer keeps accumulating the next batch, so consecutive
-// forces pipeline back-to-back — commit throughput is bounded by
-// force-latency per *group*, not per committer.
+// and completes their handles. While an append is on the wire the buffer
+// keeps accumulating the next batch, so consecutive forces pipeline
+// back-to-back — commit throughput is bounded by force-latency per *group*,
+// not per committer.
 //
 // API contract:
 //  * ForceAsync(lsn) -> ForceHandle: completed (OK) once everything up to
 //    `lsn` is durable, or with the error that failed the force. Handles for
 //    targets already durable complete inline.
-//  * ForceAsync(lsn, cb): callback form. The callback runs on the flusher
-//    thread with NO LogWriter locks held (it may acquire engine locks), or
-//    inline on the caller for the already-durable fast path.
-//  * Callbacks and handles complete in LSN order of their targets.
-//  * ForceTo/ForceAll are blocking shims over ForceAsync kept for the edges
-//    (tests, tools); hot paths in src/engine, src/txn and src/node must use
-//    the async API (enforced by polarlint's blocking-force rule).
+//  * Handles complete in ascending order of their targets.
+//  * The flusher runs no caller code: it only completes handles, so a
+//    waiter may hold page latches (eviction's WAL rule) without risking a
+//    flusher self-deadlock.
 class LogWriter {
  public:
   using ForceHandle = StatusFuture;
-  using ForceCallback = std::function<void(Status)>;
 
   LogWriter(NodeId node, LogStore* store);
   ~LogWriter();
@@ -53,16 +49,10 @@ class LogWriter {
   Lsn Add(const std::vector<LogRecord>& records);
   Lsn AddEncoded(const std::string& encoded);
 
-  // Enqueues a durability request up to `lsn` and returns immediately.
+  // Enqueues a durability request up to `lsn` and returns immediately;
+  // Wait() on the handle blocks until it lands.
   ForceHandle ForceAsync(Lsn lsn);
-  void ForceAsync(Lsn lsn, ForceCallback cb);
   ForceHandle ForceAllAsync();
-  void ForceAllAsync(ForceCallback cb);
-
-  // Blocking shims over the async API — test/edge use only (see polarlint
-  // rule "blocking-force"); equivalent to ForceAsync(lsn).Wait().
-  Status ForceTo(Lsn lsn);
-  Status ForceAll();
 
   Lsn durable_lsn() const;
   Lsn buffered_lsn() const;
@@ -77,10 +67,10 @@ class LogWriter {
 
   // Crash support: drops the volatile buffer and fails every pending and
   // future force with Aborted. Blocks until the flusher has quiesced, so on
-  // return no completion callback is running or will run — callers tear
-  // down the engine safely after this. An append already on the wire is
-  // allowed to land (as it could in a real crash) and its waiters complete
-  // normally before the drain.
+  // return every handle is completed — callers tear down the engine safely
+  // after this. An append already on the wire is allowed to land (as it
+  // could in a real crash) and its waiters complete normally before the
+  // drain.
   void Abandon();
 
   // Pending force requests not yet completed (test introspection; also
@@ -98,15 +88,12 @@ class LogWriter {
 
  private:
   struct Waiter {
-    Lsn target = 0;
-    uint64_t seq = 0;          // enqueue order, tie-break within one target
-    uint64_t enqueue_ns = 0;   // commit_wait_ns start
-    ForceCallback cb;          // exactly one of cb / promise is used
-    std::unique_ptr<StatusPromise> promise;
+    uint64_t enqueue_ns = 0;  // commit_wait_ns start
+    StatusPromise promise;
   };
 
   void FlusherLoop();
-  // Pops every waiter with target <= durable (ascending LSN order).
+  // Pops every waiter with target <= durable (ascending target order).
   std::vector<Waiter> TakeReady(Lsn durable) REQUIRES(flusher_mu_);
   // Completes `ready` outside all locks, recording commit_wait_ns.
   void Complete(std::vector<Waiter> ready, const Status& status);
@@ -123,12 +110,12 @@ class LogWriter {
   // the buffer while holding it); committer paths take them one at a time.
   mutable RankedMutex flusher_mu_{LockRank::kLogFlusher, "log_writer.flusher"};
   CondVar flusher_cv_;
-  std::vector<Waiter> waiters_ GUARDED_BY(flusher_mu_);
-  uint64_t next_seq_ GUARDED_BY(flusher_mu_) = 0;
+  // Keyed by force target; equal targets keep their enqueue order.
+  std::multimap<Lsn, Waiter> waiters_ GUARDED_BY(flusher_mu_);
   bool stop_ GUARDED_BY(flusher_mu_) = false;
   bool paused_ GUARDED_BY(flusher_mu_) = false;
   bool abandoned_ GUARDED_BY(flusher_mu_) = false;
-  // True while the flusher is forcing or running completions; Pause/Abandon
+  // True while the flusher is forcing or completing handles; Pause/Abandon
   // wait on it to quiesce.
   bool flusher_busy_ GUARDED_BY(flusher_mu_) = false;
 

@@ -72,41 +72,7 @@ Status Recovery::ApplyRecord(const LogRecord& rec) {
     ++stats_.page_records_skipped;
     return Status::OK();
   }
-  switch (rec.type) {
-    case LogRecordType::kInitPage: {
-      if (rec.body.size() < 9) return Status::Corruption("bad kInitPage");
-      const uint8_t level = static_cast<uint8_t>(rec.body[0]);
-      const PageNo prev = DecodeFixed32(rec.body.data() + 1);
-      const PageNo next = DecodeFixed32(rec.body.data() + 5);
-      page.Init(rec.page_id, level, prev, next);
-      break;
-    }
-    case LogRecordType::kWriteRow:
-      POLARMP_RETURN_IF_ERROR(page.WriteRow(rec.body));
-      break;
-    case LogRecordType::kRemoveRow: {
-      if (rec.body.size() < 8) return Status::Corruption("bad kRemoveRow");
-      const int64_t key = static_cast<int64_t>(DecodeFixed64(rec.body.data()));
-      const Status s = page.RemoveRow(key);
-      if (!s.ok() && !s.IsNotFound()) return s;
-      break;
-    }
-    case LogRecordType::kSetPageLinks: {
-      if (rec.body.size() < 8) return Status::Corruption("bad kSetPageLinks");
-      page.set_links(DecodeFixed32(rec.body.data()),
-                     DecodeFixed32(rec.body.data() + 4));
-      break;
-    }
-    case LogRecordType::kLoadRows:
-      POLARMP_RETURN_IF_ERROR(page.LoadRows(rec.body));
-      break;
-    case LogRecordType::kTruncateRows:
-      page.TruncateFromKey(static_cast<int64_t>(rec.aux));
-      break;
-    default:
-      return Status::Corruption("unknown record type");
-  }
-  page.set_llsn(rec.llsn);
+  POLARMP_RETURN_IF_ERROR(ApplyPageRecord(rec, &page));
   cp->exists = true;
   cp->dirty = true;
   recovery_llsn_ = std::max(recovery_llsn_, rec.llsn);

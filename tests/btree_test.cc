@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "common/random.h"
@@ -16,7 +19,6 @@ class BTreeTest : public ::testing::Test {
   void SetUp() override {
     ClusterOptions opts;
     opts.page_size = 512;
-    opts.node.lbp.page_size = 512;
     opts.node.lbp.frames = 256;
     auto cluster = Cluster::Create(opts);
     ASSERT_TRUE(cluster.ok());
@@ -160,6 +162,60 @@ TEST_F(BTreeTest, InternalEntryHelpers) {
   ASSERT_TRUE(row.ok());
   EXPECT_EQ(row->key, 42);
   EXPECT_EQ(row->value.size(), 4u);
+}
+
+// Threads on one node share the node's PLocks, so two of them can split at
+// once under the same virtual index lock. Two nodes with two writers each
+// on interleaved keys and small pages make such overlapping splits common;
+// every insert must still land and stay reachable from both nodes.
+TEST(BTreeConcurrentSplitTest, OverlappingSplitsOnTwoNodesConverge) {
+  ClusterOptions opts;
+  opts.page_size = 512;
+  opts.node.lbp.frames = 256;
+  auto cluster = Cluster::Create(opts).value();
+  DbNode* nodes[2] = {cluster->AddNode().value(), cluster->AddNode().value()};
+  const SpaceId space = cluster->CreateTable("t").value().primary_space;
+
+  constexpr int kWriters = 4;
+  constexpr int kKeysPerWriter = 400;
+  auto insert = [&](DbNode* node, int64_t key) -> Status {
+    Mtr mtr(node->engine());
+    const std::string image = EncodeRow(key, kInvalidGTrxId, kCsnMin,
+                                        kNullUndoPtr, 0, std::to_string(key));
+    POLARMP_ASSIGN_OR_RETURN(
+        BTree::LeafPos pos,
+        node->TreeForSpace(space)->SearchLeafForWrite(&mtr, key,
+                                                      image.size()));
+    POLARMP_RETURN_IF_ERROR(mtr.LogWriteRow(pos.guard, image));
+    mtr.Commit();
+    return Status::OK();
+  };
+  std::atomic<int> failed{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kKeysPerWriter; ++i) {
+        const int64_t key = int64_t{i} * kWriters + w;
+        const Status s = insert(nodes[w % 2], key);
+        if (!s.ok() && failed.fetch_add(1) == 0) {
+          ADD_FAILURE() << "insert " << key << ": " << s.ToString();
+        }
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(failed.load(), 0);
+
+  for (DbNode* node : nodes) {
+    BTree* tree = node->TreeForSpace(space);
+    for (int64_t key = 0; key < kWriters * kKeysPerWriter; ++key) {
+      Mtr mtr(node->engine());
+      auto pos = tree->SearchLeaf(&mtr, key, LockMode::kShared);
+      ASSERT_TRUE(pos.ok()) << pos.status().ToString();
+      EXPECT_TRUE(pos->found) << "node " << node->id() << " key " << key;
+      mtr.Commit();
+    }
+  }
 }
 
 }  // namespace

@@ -16,7 +16,6 @@ class IndexCacheTest : public ::testing::Test {
                     uint32_t lbp_frames = 64) {
     ClusterOptions opts;
     opts.page_size = 1024;
-    opts.node.lbp.page_size = 1024;
     opts.node.lbp.frames = lbp_frames;
     opts.node.cache.enabled = cache_enabled;
     opts.node.cache.slots = cache_slots;

@@ -1,11 +1,10 @@
 // Deterministic tests for the pipelined group-commit log writer and the
-// async, future-based commit API (ISSUE 6): group formation, completion
-// ordering, the async-commit crash window, and force-error delivery.
+// durable commit path: group formation, completion ordering, force-error
+// delivery, and rollback of a commit whose force failed.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <mutex>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -16,11 +15,14 @@
 namespace polarmp {
 namespace {
 
+constexpr uint64_t kLockWaitTimeoutMs = 20'000;
+
 ClusterOptions QuietClusterOptions() {
   // Background activity (heartbeats, checkpoints, LBP/DBP flushes) forces
   // the log on its own; push it out past the test horizon so the only
   // forces observed are the ones the test issues.
   ClusterOptions opts;
+  opts.node.trx.lock_wait_timeout_ms = kLockWaitTimeoutMs;
   opts.node.background_interval_ms = 60'000;
   opts.node.checkpoint_interval_ms = 60'000;
   opts.node.lbp_flush_interval_ms = 60'000;
@@ -30,12 +32,8 @@ ClusterOptions QuietClusterOptions() {
 
 class CommitPipelineTest : public ::testing::Test {
  protected:
-  // Node options (async_commit among them) are cluster-wide, so each test
-  // builds its own cluster.
-  DbNode* MakeClusterWithNode(bool async_commit) {
-    ClusterOptions opts = QuietClusterOptions();
-    opts.node.trx.async_commit = async_commit;
-    auto cluster = Cluster::Create(opts);
+  DbNode* MakeClusterWithNode() {
+    auto cluster = Cluster::Create(QuietClusterOptions());
     EXPECT_TRUE(cluster.ok());
     cluster_ = std::move(cluster).value();
     auto node = cluster_->AddNode();
@@ -72,7 +70,7 @@ class CommitPipelineTest : public ::testing::Test {
 // N committers queued behind a paused flusher ride ONE device force.
 TEST_F(CommitPipelineTest, GroupFormationOneForcePerBatch) {
   constexpr int kCommitters = 6;
-  DbNode* node = MakeClusterWithNode(/*async_commit=*/false);
+  DbNode* node = MakeClusterWithNode();
   ASSERT_TRUE(cluster_->CreateTable("t").ok());
   TableHandle t = Open(node);
   LogWriter* writer = node->log_writer();
@@ -102,9 +100,10 @@ TEST_F(CommitPipelineTest, GroupFormationOneForcePerBatch) {
   }
 }
 
-// Force completions fire in LSN order of their targets, regardless of the
-// order the handles were enqueued in.
-TEST_F(CommitPipelineTest, CompletionsFollowLsnOrder) {
+// Force handles complete in LSN order of their targets, regardless of the
+// order they were enqueued in: once the highest target's handle completes,
+// every lower one already has.
+TEST_F(CommitPipelineTest, HandlesCompleteInLsnOrder) {
   LogStore store(ZeroLatencyProfile());
   LogWriter writer(7, &store);
   writer.PauseFlusher();
@@ -114,52 +113,53 @@ TEST_F(CommitPipelineTest, CompletionsFollowLsnOrder) {
   for (int i = 0; i < kRecords; ++i) {
     ends.push_back(writer.Add({MakeTrxCommit(7, 100 + i, 1)}));
   }
-  std::mutex order_mu;
-  std::vector<Lsn> completed;
-  // Enqueue in REVERSE target order; completions must still run ascending.
+  // Enqueue in REVERSE target order: handles[0] has the highest target.
+  std::vector<LogWriter::ForceHandle> handles;
   for (int i = kRecords - 1; i >= 0; --i) {
-    const Lsn target = ends[i];
-    writer.ForceAsync(target, [&, target](Status s) {
-      ASSERT_TRUE(s.ok());
-      std::lock_guard<std::mutex> lock(order_mu);
-      completed.push_back(target);
-    });
+    handles.push_back(writer.ForceAsync(ends[i]));
   }
   EXPECT_EQ(writer.pending_forces(), static_cast<size_t>(kRecords));
+  for (const auto& h : handles) EXPECT_FALSE(h.done());
   writer.ResumeFlusher();
-  ASSERT_TRUE(writer.ForceAll().ok());
 
-  std::lock_guard<std::mutex> lock(order_mu);
-  ASSERT_EQ(completed.size(), static_cast<size_t>(kRecords));
-  EXPECT_EQ(completed, ends);
+  ASSERT_TRUE(handles.front().Wait().ok());
+  for (const auto& h : handles) EXPECT_TRUE(h.done());
+  for (Lsn end : ends) EXPECT_GE(writer.durable_lsn(), end);
+  for (const auto& h : handles) EXPECT_TRUE(h.Wait().ok());
 }
 
-// The async-commit crash window: a commit acknowledged at force-enqueue but
-// never forced is rolled back by recovery — the provisional CTS is never
-// finalized and the pre-crash value survives.
-TEST_F(CommitPipelineTest, AsyncCommitCrashWindowRollsBack) {
-  DbNode* node = MakeClusterWithNode(/*async_commit=*/true);
+// A failed commit force surfaces to the committer, which rolls back: the old
+// value stays visible, the row lock is free at once, and the rolled-back
+// write never resurfaces after a crash.
+TEST_F(CommitPipelineTest, ForceFailureRollsBackCommit) {
+  DbNode* node = MakeClusterWithNode();
   ASSERT_TRUE(cluster_->CreateTable("t").ok());
   TableHandle t = Open(node);
+  ASSERT_TRUE(Write1(node, t, 1, "old").ok());
 
-  ASSERT_TRUE(Write1(node, t, 1, "durable-old").ok());
-  ASSERT_TRUE(node->log_writer()->ForceAll().ok());
+  cluster_->log_store()->FailNextAppends(1);
+  const Status failed = Write1(node, t, 1, "new");
+  EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
 
-  // Hold the flusher so the next commit's force can never land, then commit:
-  // async mode acknowledges OK at enqueue anyway.
-  node->log_writer()->PauseFlusher();
-  ASSERT_TRUE(Write1(node, t, 1, "acked-not-durable").ok());
+  auto v = Read1(node, t, 1);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.value(), "old");
+
+  // The row lock went with the rollback: a second writer must not wait out
+  // the lock timeout (it would fail Busy after it).
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(Write1(node, t, 1, "second").ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(kLockWaitTimeoutMs / 2));
 
   const NodeId id = node->id();
   ASSERT_TRUE(cluster_->CrashNode(id).ok());
   auto restarted = cluster_->RestartNode(id);
   ASSERT_TRUE(restarted.ok());
   DbNode* revived = restarted.value();
-
-  TableHandle t2 = Open(revived);
-  auto v = Read1(revived, t2, 1);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value(), "durable-old");
+  auto after = Read1(revived, Open(revived), 1);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), "second");
 }
 
 // A LogStore append failure is delivered to EVERY queued committer, the
@@ -171,24 +171,21 @@ TEST_F(CommitPipelineTest, ForceErrorReachesEveryWaiter) {
 
   const Lsn end1 = writer.Add({MakeTrxCommit(9, 1, 1)});
   const Lsn end2 = writer.Add({MakeTrxCommit(9, 2, 2)});
-  std::atomic<int> io_errors{0};
-  writer.ForceAsync(end1, [&](Status s) {
-    EXPECT_TRUE(s.IsIOError()) << s.ToString();
-    io_errors.fetch_add(1);
-  });
-  LogWriter::ForceHandle handle = writer.ForceAsync(end2);
+  LogWriter::ForceHandle first = writer.ForceAsync(end1);
+  LogWriter::ForceHandle second = writer.ForceAsync(end2);
 
   store.FailNextAppends(1);
   writer.ResumeFlusher();
 
-  const Status second = handle.Wait();
-  EXPECT_TRUE(second.IsIOError()) << second.ToString();
-  EXPECT_EQ(io_errors.load(), 1);
+  const Status first_status = first.Wait();
+  const Status second_status = second.Wait();
+  EXPECT_TRUE(first_status.IsIOError()) << first_status.ToString();
+  EXPECT_TRUE(second_status.IsIOError()) << second_status.ToString();
   EXPECT_EQ(writer.durable_lsn(), 0u);
   EXPECT_EQ(writer.buffered_lsn(), end2);
 
   // The failed batch went back into the buffer: a retry forces all of it.
-  ASSERT_TRUE(writer.ForceTo(end2).ok());
+  ASSERT_TRUE(writer.ForceAsync(end2).Wait().ok());
   EXPECT_EQ(writer.durable_lsn(), end2);
   EXPECT_EQ(store.DurableLsn(9).value(), end2);
 }

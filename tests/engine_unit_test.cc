@@ -100,7 +100,6 @@ class NodeEngineTest : public ::testing::Test {
   void SetUp() override {
     ClusterOptions opts;
     opts.page_size = 1024;
-    opts.node.lbp.page_size = 1024;
     opts.node.lbp.frames = 8;  // tiny LBP to force eviction
     auto cluster = Cluster::Create(opts);
     ASSERT_TRUE(cluster.ok());
@@ -169,7 +168,7 @@ TEST(LogStreamInvariant, LlsnMonotonePerStreamUnderConcurrency) {
     });
   }
   for (auto& t : writers) t.join();
-  ASSERT_TRUE(node->log_writer()->ForceAll().ok());
+  ASSERT_TRUE(node->log_writer()->ForceAllAsync().Wait().ok());
 
   std::string stream;
   ASSERT_TRUE(
@@ -199,7 +198,6 @@ TEST(LogStreamInvariant, LlsnMonotonePerStreamUnderConcurrency) {
 TEST(RecoveryIdempotence, ReplayTwiceSameResult) {
   ClusterOptions opts;
   opts.page_size = 1024;
-  opts.node.lbp.page_size = 1024;
   auto cluster = Cluster::Create(opts).value();
   DbNode* n1 = cluster->AddNode().value();
   DbNode* n2 = cluster->AddNode().value();
@@ -236,8 +234,8 @@ TEST(LogWriterEdge, ForceBeyondBufferFails) {
   LogStore store(ZeroLatencyProfile());
   LogWriter writer(1, &store);
   const Lsn end = writer.Add({MakeTrxCommit(1, 1, 2)});
-  EXPECT_FALSE(writer.ForceTo(end + 1000).ok());
-  EXPECT_TRUE(writer.ForceTo(end).ok());
+  EXPECT_FALSE(writer.ForceAsync(end + 1000).Wait().ok());
+  EXPECT_TRUE(writer.ForceAsync(end).Wait().ok());
 }
 
 }  // namespace

@@ -19,7 +19,6 @@ class FailureTest : public ::testing::Test {
   void SetUp() override {
     ClusterOptions opts;
     opts.page_size = 1024;
-    opts.node.lbp.page_size = 1024;
     opts.node.checkpoint_interval_ms = 100;
     auto cluster = Cluster::Create(opts);
     ASSERT_TRUE(cluster.ok());

@@ -151,8 +151,8 @@ TEST_F(FaultInjectionTest, LostRpcReplyDedupedNotReExecuted) {
   EXPECT_EQ(fabric_.rpc_dedup_hits(), 1u);
   EXPECT_EQ(fabric_.retries(), 1u);
   // Exactly one hold was created: one release succeeds, a second finds none.
-  EXPECT_TRUE(lf.ReleasePLock(1, page).ok());
-  EXPECT_TRUE(lf.ReleasePLock(1, page).IsNotFound());
+  EXPECT_TRUE(lf.ReleasePLock(1, page, LockMode::kExclusive).ok());
+  EXPECT_TRUE(lf.ReleasePLock(1, page, LockMode::kExclusive).IsNotFound());
 }
 
 TEST_F(FaultInjectionTest, LostRpcRequestRetransmittedAndExecutedOnce) {
@@ -168,7 +168,7 @@ TEST_F(FaultInjectionTest, LostRpcRequestRetransmittedAndExecutedOnce) {
       lf.AcquirePLock(1, page, LockMode::kExclusive, /*timeout_ms=*/100).ok());
   EXPECT_EQ(fabric_.rpc_dedup_hits(), 0u);
   EXPECT_EQ(fabric_.retries(), 1u);
-  EXPECT_TRUE(lf.ReleasePLock(1, page).ok());
+  EXPECT_TRUE(lf.ReleasePLock(1, page, LockMode::kExclusive).ok());
 }
 
 TEST_F(FaultInjectionTest, RpcTimeoutDegradesToBusyAfterBudget) {

@@ -142,8 +142,8 @@ INSTANTIATE_TEST_SUITE_P(
 //
 // The fix publishes a *provisional* CTS (kCsnProvisionalBit set) to the
 // TIT before the force and finalizes it with a second TSO fetch afterwards
-// (transaction.cc: PublishProvisionalCts → ForceAsync → PublishCts, the
-// last on the commit finalizer thread when the group force lands). Readers
+// (transaction.cc: PublishProvisionalCts → ForceAsync(...).Wait() →
+// PublishCts, all on the committing thread). Readers
 // that observe the provisional bit treat the version as
 // committed-after-snapshot immediately; the finalized CTS necessarily
 // exceeds any snapshot begun during the force, so the conflict check

@@ -60,7 +60,7 @@ TEST_F(LockFusionTest, ExclusiveConflictNegotiates) {
   AwaitNegotiation(negotiations_1_);
   EXPECT_EQ(Negotiations(negotiations_1_)[0], page);
   EXPECT_FALSE(granted.load());
-  ASSERT_TRUE(fusion_.ReleasePLock(1, page).ok());
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page, LockMode::kExclusive).ok());
   waiter.join();
   EXPECT_TRUE(granted.load());
   EXPECT_TRUE(fusion_.HoldsPLock(2, page, LockMode::kExclusive));
@@ -72,7 +72,7 @@ TEST_F(LockFusionTest, AlreadyHeldIsIdempotent) {
   ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kShared, 1000).ok());
   ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kExclusive, 1000).ok());
   // One release clears the node's (single) hold.
-  ASSERT_TRUE(fusion_.ReleasePLock(1, page).ok());
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page, LockMode::kExclusive).ok());
   EXPECT_FALSE(fusion_.HoldsPLock(1, page, LockMode::kShared));
 }
 
@@ -87,9 +87,25 @@ TEST_F(LockFusionTest, UpgradeWaitsForOtherSharers) {
   });
   AwaitNegotiation(negotiations_2_);
   EXPECT_FALSE(upgraded.load());
-  ASSERT_TRUE(fusion_.ReleasePLock(2, page).ok());
+  ASSERT_TRUE(fusion_.ReleasePLock(2, page, LockMode::kShared).ok());
   upgrader.join();
   EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
+}
+
+// A node gives its S hold back (a negotiated release) while its own S→X
+// upgrade is queued, and fusion grants the upgrade before the release lands.
+// The release must not take the fresh X with it: the node already counts
+// on it, and a second node granted X meanwhile would write the same page.
+TEST_F(LockFusionTest, ReleaseRacingOwnUpgradeKeepsGrantedUpgrade) {
+  const PageId page{1, 1};
+  ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kShared, 1000).ok());
+  ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kExclusive, 1000).ok());
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page, LockMode::kShared).ok());
+  EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
+  EXPECT_TRUE(
+      fusion_.AcquirePLock(2, page, LockMode::kExclusive, 50).IsBusy());
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page, LockMode::kExclusive).ok());
+  EXPECT_TRUE(fusion_.AcquirePLock(2, page, LockMode::kExclusive, 1000).ok());
 }
 
 TEST_F(LockFusionTest, TimeoutReturnsBusy) {
@@ -100,7 +116,7 @@ TEST_F(LockFusionTest, TimeoutReturnsBusy) {
   // Holder unaffected.
   EXPECT_TRUE(fusion_.HoldsPLock(1, page, LockMode::kExclusive));
   // After release the page is grantable again.
-  ASSERT_TRUE(fusion_.ReleasePLock(1, page).ok());
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page, LockMode::kExclusive).ok());
   EXPECT_TRUE(fusion_.AcquirePLock(2, page, LockMode::kExclusive, 1000).ok());
 }
 
@@ -116,7 +132,7 @@ TEST_F(LockFusionTest, FifoOrdering) {
       std::lock_guard lock(mu);
       grant_order.push_back(2);
     }
-    ASSERT_TRUE(fusion_.ReleasePLock(2, page).ok());
+    ASSERT_TRUE(fusion_.ReleasePLock(2, page, LockMode::kExclusive).ok());
   });
   AwaitNegotiation(negotiations_1_);
   std::thread t3([&] {
@@ -126,7 +142,7 @@ TEST_F(LockFusionTest, FifoOrdering) {
   });
   // Give node 3 time to enqueue behind node 2.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_TRUE(fusion_.ReleasePLock(1, page).ok());
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page, LockMode::kExclusive).ok());
   t2.join();
   t3.join();
   ASSERT_EQ(grant_order.size(), 2u);
@@ -209,7 +225,7 @@ TEST_F(LockFusionTest, CountersVisibleThroughRegistry) {
 
   const PageId page{1, 77};
   ASSERT_TRUE(fusion_.AcquirePLock(1, page, LockMode::kExclusive, 1000).ok());
-  ASSERT_TRUE(fusion_.ReleasePLock(1, page).ok());
+  ASSERT_TRUE(fusion_.ReleasePLock(1, page, LockMode::kExclusive).ok());
 
   EXPECT_EQ(reg.CounterTotal("lock_fusion.plock_acquire_rpcs"), acq0 + 1);
   EXPECT_EQ(reg.CounterTotal("lock_fusion.plock_release_rpcs"), rel0 + 1);
@@ -230,7 +246,7 @@ TEST_F(LockFusionTest, ResetRacesWithAcquisitionsSafely) {
     const PageId page{1, 88};
     while (!stop.load(std::memory_order_acquire)) {
       fusion_.AcquirePLock(1, page, LockMode::kShared, 1000).ok();
-      fusion_.ReleasePLock(1, page).ok();
+      fusion_.ReleasePLock(1, page, LockMode::kShared).ok();
     }
   });
   for (int i = 0; i < 1000; ++i) {

@@ -15,7 +15,6 @@ class MultiNodeTest : public ::testing::Test {
   void SetUp() override {
     ClusterOptions opts;
     opts.page_size = 1024;
-    opts.node.lbp.page_size = 1024;
     opts.node.trx.lock_wait_timeout_ms = 2000;
     auto cluster = Cluster::Create(opts);
     ASSERT_TRUE(cluster.ok());

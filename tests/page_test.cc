@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "engine/page.h"
+#include "wal/log_record.h"
 
 namespace polarmp {
 namespace {
@@ -182,6 +183,27 @@ TEST(RowTest, UndoPtrPacking) {
   const UndoPtr p = MakeUndoPtr(1000, (uint64_t{1} << 54) - 1);
   EXPECT_EQ(UndoPtrNode(p), 1000);
   EXPECT_EQ(UndoPtrOffset(p), (uint64_t{1} << 54) - 1);
+}
+
+// Page redo (recovery and standby share ApplyPageRecord): a body too short
+// for its record type is Corruption, and the page keeps its old LLSN.
+TEST_F(PageTest, RedoRejectsTruncatedBodies) {
+  page_.set_llsn(5);
+  const PageId id{1, 2};
+  LogRecord init = MakeInitPage(1, 10, id, 0, 3, 4);
+  LogRecord remove = MakeRemoveRow(1, 11, id, 7);
+  LogRecord links = MakeSetPageLinks(1, 12, id, 3, 4);
+  for (LogRecord* rec : {&init, &remove, &links}) {
+    rec->body.resize(rec->body.size() - 1);
+    const Status s = ApplyPageRecord(*rec, &page_);
+    EXPECT_TRUE(s.IsCorruption()) << static_cast<int>(rec->type) << ": "
+                                  << s.ToString();
+    EXPECT_EQ(page_.llsn(), 5u);
+  }
+  // The well-formed record applies and stamps the page.
+  ASSERT_TRUE(ApplyPageRecord(MakeSetPageLinks(1, 12, id, 3, 4), &page_).ok());
+  EXPECT_EQ(page_.llsn(), 12u);
+  EXPECT_EQ(page_.next(), 4u);
 }
 
 }  // namespace

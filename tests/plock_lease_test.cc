@@ -148,7 +148,6 @@ class PLockEvictionTest : public ::testing::Test {
   void SetUp() override {
     ClusterOptions opts;
     opts.page_size = 1024;
-    opts.node.lbp.page_size = 1024;
     opts.node.lbp.frames = 8;
     opts.node.cache.enabled = false;
     opts.node.trx.lock_wait_timeout_ms = 5000;

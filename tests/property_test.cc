@@ -145,7 +145,6 @@ class EnginePropertyTest : public ::testing::TestWithParam<uint32_t> {};
 TEST_P(EnginePropertyTest, RandomCrudMatchesModelAcrossRestart) {
   ClusterOptions opts;
   opts.page_size = GetParam();
-  opts.node.lbp.page_size = GetParam();
   auto cluster = Cluster::Create(opts).value();
   DbNode* node = cluster->AddNode().value();
   ASSERT_TRUE(cluster->CreateTable("prop").ok());

@@ -137,7 +137,7 @@ TEST(LogWriterTest, BufferAndForce) {
   EXPECT_GT(end, 0u);
   EXPECT_EQ(writer.durable_lsn(), 0u);
   EXPECT_EQ(writer.buffered_lsn(), end);
-  ASSERT_TRUE(writer.ForceTo(end).ok());
+  ASSERT_TRUE(writer.ForceAsync(end).Wait().ok());
   EXPECT_EQ(writer.durable_lsn(), end);
   EXPECT_EQ(store.DurableLsn(1).value(), end);
 }
@@ -151,7 +151,7 @@ TEST(LogWriterTest, GroupCommitManyThreads) {
       for (int i = 0; i < 50; ++i) {
         const Lsn end = writer.Add(
             {MakeTrxCommit(2, static_cast<GTrxId>(t * 1000 + i), 1)});
-        ASSERT_TRUE(writer.ForceTo(end).ok());
+        ASSERT_TRUE(writer.ForceAsync(end).Wait().ok());
         ASSERT_GE(writer.durable_lsn(), end);
       }
     });
@@ -180,7 +180,7 @@ TEST(LogWriterTest, ResumesFromExistingStream) {
   LogWriter writer(4, &store);
   EXPECT_EQ(writer.durable_lsn(), 6u);
   const Lsn end = writer.Add({MakeTrxCommit(4, 1, 2)});
-  ASSERT_TRUE(writer.ForceTo(end).ok());
+  ASSERT_TRUE(writer.ForceAsync(end).Wait().ok());
   EXPECT_EQ(store.DurableLsn(4).value(), end);
 }
 

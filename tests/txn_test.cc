@@ -17,7 +17,6 @@ class TxnTest : public ::testing::Test {
   void SetUpWithIndexes(uint32_t num_indexes) {
     ClusterOptions opts;
     opts.page_size = 1024;
-    opts.node.lbp.page_size = 1024;
     opts.node.trx.lock_wait_timeout_ms = 300;
     auto cluster = Cluster::Create(opts);
     ASSERT_TRUE(cluster.ok());

@@ -15,9 +15,9 @@
 //                   released at another).
 //
 //   blocking-under-lock
-//                   No blocking callee — round-trip fusion RPC verbs, the
-//                   ForceTo/ForceAll log-force shims, sleeps, future/handle
-//                   Wait()s, thread joins, cv waits outside their own-mutex
+//                   No blocking callee — round-trip fusion RPC verbs,
+//                   sleeps, future/handle Wait()s (log-force waits among
+//                   them), thread joins, cv waits outside their own-mutex
 //                   idiom — may run while the inbound MUST-hold lockset is
 //                   non-empty. One call level is inlined the same way the
 //                   lock-order pass resolves callees, so a helper that
@@ -271,8 +271,6 @@ const BlockingCallee kBlockingCallees[] = {
     {"RegisterCopy", "a page-registration RPC", false},
     {"UnregisterCopy", "a page-registration RPC", false},
     {"NotifyPush", "an invalidation fan-out RPC", false},
-    {"ForceTo", "a blocking log force", false},
-    {"ForceAll", "a blocking log force", false},
     {"sleep_for", "a sleep", false},
     {"sleep_until", "a sleep", false},
     {"Wait", "a blocking future/handle wait", true},

@@ -8,8 +8,7 @@
 //
 //   token        the v1 single-file rules (rules_token.cc): raw-mutex,
 //                unranked-mutex, raw-atomic, no-hostptr-memcpy,
-//                nondeterminism, blocking-force, fusion-bypass,
-//                unguarded-field.
+//                nondeterminism, fusion-bypass, unguarded-field.
 //   cfg          lowers every src/ function body to basic blocks and
 //                extracts the shared lock/call/status event stream the
 //                flow passes interpret (pass_flow.cc); reports CFG sizes
@@ -174,13 +173,10 @@ AnalysisResult Analyze(Corpus* corpus, const std::string& supp_display,
 
 // Every rule id, in report order, so the summary table shows explicit
 // zeroes (CI diffs a disappearing rule as loudly as a new finding).
-// unchecked-fabric-status stays registered (permanently zero) so the
-// sidecar's rule table never shows the id vanishing across the v2 -> v3
-// engine swap; status-defuse is its successor.
 const char* kAllRules[] = {
     "raw-mutex",      "unranked-mutex",    "raw-atomic",
-    "no-hostptr-memcpy", "nondeterminism", "blocking-force",
-    "fusion-bypass",  "unchecked-fabric-status", "unguarded-field",
+    "no-hostptr-memcpy", "nondeterminism", "fusion-bypass",
+    "unguarded-field",
     "capability",     "flow-lockset",      "blocking-under-lock",
     "status-defuse",  "lock-order",        "fabric-retry",
     "fabric-request-id", "seqlock-payload", "tsan-supp"};

@@ -10,10 +10,9 @@
 //
 //   token pass (v1 rules, one file at a time):
 //     raw-mutex, unranked-mutex, raw-atomic, no-hostptr-memcpy,
-//     nondeterminism, blocking-force, fusion-bypass, unguarded-field
+//     nondeterminism, fusion-bypass, unguarded-field
 //     (unchecked-fabric-status was a token rule through v2; the flow tier's
-//     status-defuse pass subsumed it. The id stays registered in the
-//     sidecar, permanently zero, for trajectory continuity.)
+//     status-defuse pass subsumed it.)
 //
 //   flow tier (pass_flow.cc over cfg.h + dataflow.h, cross-TU):
 //     capability — an access to a GUARDED_BY(m) field from a method of the
@@ -25,7 +24,7 @@
 //     (maybe-)held, and a manual lock span still held at one return path
 //     but released before another.
 //     blocking-under-lock — a blocking callee (round-trip fusion RPC verbs,
-//     ForceTo/ForceAll, sleeps, future/handle Wait, thread join, cv waits
+//     sleeps, future/handle Wait (log forces), thread join, cv waits
 //     beyond their own-mutex idiom) issued while the inbound must-hold
 //     lockset is non-empty; one callee level is inlined.
 //     status-defuse — a Status defined from a fabric verb that is

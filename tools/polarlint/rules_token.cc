@@ -162,26 +162,6 @@ void CheckNondeterminism(const SourceFile& f, std::vector<Finding>* out) {
   }
 }
 
-void CheckBlockingForce(const SourceFile& f, std::vector<Finding>* out) {
-  // Only the layers on the commit hot path are constrained; src/wal owns
-  // the shims' definitions, and tests/benches are outside src/ anyway.
-  if (!StartsWith(f.rel, "src/engine/") && !StartsWith(f.rel, "src/txn/") &&
-      !StartsWith(f.rel, "src/node/")) {
-    return;
-  }
-  for (const char* token : {"ForceTo", "ForceAll"}) {
-    for (size_t pos : TokenHits(f.scrubbed.text, token)) {
-      Report(f, pos, "blocking-force",
-             std::string(token) +
-                 " is a test/edge-only blocking shim: enqueue with "
-                 "LogWriter::ForceAsync/ForceAllAsync and continue, or "
-                 "Wait() on the handle if the site is inherently "
-                 "synchronous",
-             out);
-    }
-  }
-}
-
 void CheckFusionBypass(const SourceFile& f, std::vector<Finding>* out) {
   if (!StartsWith(f.rel, "src/engine/")) return;
   // The LBP and the undo log own the engine's fusion/DSM plumbing; every
@@ -292,7 +272,6 @@ void RunTokenRules(const Corpus& corpus, std::vector<Finding>* out) {
     CheckRawAtomic(f, out);
     CheckHostPtrMemcpy(f, out);
     CheckNondeterminism(f, out);
-    CheckBlockingForce(f, out);
     CheckFusionBypass(f, out);
     CheckUnguardedFields(f, out);
   }

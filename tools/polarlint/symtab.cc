@@ -323,7 +323,7 @@ int RankValue(const std::string& rank_name) {
       {"kIndexCache", 85},   {"kPlock", 90},        {"kBufferPool", 100},
       {"kFutureState", 105}, {"kLogWriter", 110},   {"kLogFlusher", 115},
       {"kLlsnOrder", 120},   {"kCommitGate", 130},  {"kPageLatch", 140},
-      {"kCommitFinalize", 145}, {"kTrxManager", 150}, {"kCatalog", 160},
+      {"kTrxManager", 150},  {"kCatalog", 160},
       {"kNodeTrees", 165},   {"kNodeBackground", 170}, {"kStandby", 175},
       {"kStandbyStop", 178}, {"kSimLockTable", 183}, {"kSimLogDevice", 184},
       {"kSimStore", 185},    {"kBaselineNode", 190}, {"kTestLow", 200},
