@@ -69,7 +69,7 @@ inline ClusterOptions MakeBenchClusterOptions(int nodes) {
   // POLARMP_INDEX_CACHE=0 disables the compute-side index cache (the
   // cache-off ablation every bench can run without a rebuild).
   if (const char* v = std::getenv("POLARMP_INDEX_CACHE")) {
-    options.node.cache.enabled = std::atoi(v) != 0;
+    if (std::atoi(v) == 0) options.node.cache.slots = 0;
   }
   // POLARMP_BENCH_LBP_FRAMES shrinks the local buffer pool, modelling the
   // compute node whose working set exceeds its LBP — the regime the index

@@ -85,11 +85,13 @@ struct PointOpts {
 Point RunPoint(const PointOpts& po, const bench::BenchConfig& cfg) {
   const int nodes = po.churn_writer ? 2 : 1;
   ClusterOptions options = bench::MakeBenchClusterOptions(nodes);
-  options.node.cache.enabled =
-      options.node.cache.enabled && po.cache_on;  // env can only force OFF
+  if (!po.cache_on) options.node.cache.slots = 0;
   if (po.page_size != 0) options.page_size = po.page_size;
   if (po.lbp_frames != 0) options.node.lbp.frames = po.lbp_frames;
-  if (po.cache_slots != 0) options.node.cache.slots = po.cache_slots;
+  // The environment can only force the cache off (slots = 0).
+  if (po.cache_slots != 0 && options.node.cache.slots != 0) {
+    options.node.cache.slots = po.cache_slots;
+  }
   auto cluster = Cluster::Create(options).value();
   std::vector<DbNode*> db;
   for (int i = 0; i < nodes; ++i) db.push_back(cluster->AddNode().value());

@@ -55,7 +55,6 @@ namespace polarmp {
 class IndexCache {
  public:
   struct Options {
-    bool enabled = true;
     // Number of page slots. 0 disables the cache outright.
     uint32_t slots = 1024;
   };
@@ -80,7 +79,7 @@ class IndexCache {
   IndexCache(const IndexCache&) = delete;
   IndexCache& operator=(const IndexCache&) = delete;
 
-  bool enabled() const { return options_.enabled && options_.slots > 0; }
+  bool enabled() const { return options_.slots > 0; }
 
   // Routes `key` from the tree root (page 0 of `space`) down through cached
   // internal images. Stops at the first page with no valid cached image.

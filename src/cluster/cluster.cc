@@ -4,9 +4,6 @@ namespace polarmp {
 
 Cluster::Cluster(const ClusterOptions& options) : options_(options) {
   fabric_ = std::make_unique<Fabric>(options.latency);
-  if (options.chaos_fault_seed != 0) {
-    fabric_->fault_injector()->Arm(DefaultChaosPlan(options.chaos_fault_seed));
-  }
   dsm_ = std::make_unique<Dsm>(fabric_.get(), options.dsm_servers,
                                options.dsm_bytes_per_server);
   page_store_ =

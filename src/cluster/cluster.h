@@ -23,10 +23,6 @@ struct ClusterOptions {
   uint64_t dbp_flush_interval_ms = 50;
   uint32_t tit_slots_per_node = 4096;
   uint64_t undo_segment_bytes = 48ull << 20;
-  // Nonzero: arm the fabric's fault injector with DefaultChaosPlan(seed) at
-  // construction, so the whole run sees seeded transient faults (chaos CI
-  // mode; benches wire this to POLARMP_FAULT_SEED).
-  uint64_t chaos_fault_seed = 0;
   NodeOptions node;
 };
 

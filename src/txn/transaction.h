@@ -102,7 +102,6 @@ class TrxManager {
  public:
   struct Options {
     uint64_t lock_wait_timeout_ms = 2'000;
-    int write_retry_limit = 64;
   };
 
   TrxManager(EngineContext* engine, Tit* tit, TsoClient* tso,
@@ -193,6 +192,32 @@ class TrxManager {
   uint64_t deadlock_aborts() const { return deadlock_aborts_.Value(); }
 
  private:
+  // Row-lock attempts (each after a wait on a holder) before Busy.
+  static constexpr int kRowLockRetryLimit = 64;
+
+  // The version LockRow installs once it holds the row lock.
+  struct NewVersion {
+    Slice value;
+    uint8_t flags = 0;
+    bool write = true;  // false: the row already carries this gid; keep it
+  };
+
+  // The embedded-row-lock loop (§4.3.2) behind WriteRow and
+  // ReadRowForUpdate: finds `key`'s leaf (splitting it if `need` bytes do
+  // not fit), waits out a live holder (Fig. 6) with no page latch held,
+  // applies the SI first-committer/first-updater-wins rule, then lets
+  // `admit(const RowView* row, NewVersion* next)` judge the row (null when
+  // absent) and pick the new version, which it writes under an undo record
+  // and redo. A non-OK status from `admit` is returned as is.
+  template <typename Admit>
+  Status LockRow(Transaction* trx, BTree* tree, int64_t key, size_t need,
+                 Admit&& admit);
+
+  // Undoes `gid`'s changes newest first, from `last_undo` along the
+  // transaction's undo chain, through the logged engine path; page
+  // contention (Busy) is retried. Shared by Rollback and RollbackRecovered.
+  Status UndoChain(GTrxId gid, UndoPtr last_undo);
+
   // Refreshes the statement view per the isolation level.
   Status RefreshView(Transaction* trx);
 

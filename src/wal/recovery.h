@@ -28,14 +28,14 @@ struct RecoveryStats {
 
 // Crash recovery (§4.4).
 //
-// Redo replay follows the paper's chunked merge: read one chunk from every
-// participating node's log, compute LLSN_bound — the smallest last-read
-// LLSN across the chunks, which no remaining record can undershoot because
-// each node's stream is LLSN-monotone — apply every record with
-// llsn <= LLSN_bound, carry the rest into the next round. A record applies
-// to its page iff the page's LLSN stamp is older, which makes replay
-// idempotent and, combined with the bound, replays every page's records in
-// generation order.
+// Redo replay follows the paper's chunked merge (wal/log_record.h): read one
+// chunk from every participating node's log, compute LLSN_bound — the
+// smallest last-read LLSN across the streams not yet at their end, which no
+// remaining record can undershoot because each node's stream is
+// LLSN-monotone — apply every record with llsn <= LLSN_bound, carry the
+// rest into the next round. A record applies to its page iff the page's
+// LLSN stamp is older, which makes replay idempotent and, combined with the
+// bound, replays every page's records in generation order.
 //
 // Pages are sourced from the DBP when it survived (a node crash leaves the
 // disaggregated memory intact — the §5.5 fast path) and from shared
@@ -44,7 +44,6 @@ struct RecoveryStats {
 class Recovery {
  public:
   struct Options {
-    uint64_t chunk_bytes = 1 << 20;
     // Endpoint charged for DBP page fetches (the recovering node).
     EndpointId reader = kPmfsEndpoint;
     // Replay kUndoAppend records into the undo store. A full restart needs

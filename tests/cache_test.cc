@@ -12,12 +12,11 @@ namespace {
 // disabled mode.
 class IndexCacheTest : public ::testing::Test {
  protected:
-  void StartCluster(int nodes, uint32_t cache_slots, bool cache_enabled,
-                    uint32_t lbp_frames = 64) {
+  // cache_slots = 0 disables the cache.
+  void StartCluster(int nodes, uint32_t cache_slots, uint32_t lbp_frames = 64) {
     ClusterOptions opts;
     opts.page_size = 1024;
     opts.node.lbp.frames = lbp_frames;
-    opts.node.cache.enabled = cache_enabled;
     opts.node.cache.slots = cache_slots;
     opts.node.trx.lock_wait_timeout_ms = 2000;
     auto cluster = Cluster::Create(opts);
@@ -71,7 +70,7 @@ class IndexCacheTest : public ::testing::Test {
 };
 
 TEST_F(IndexCacheTest, WarmRoutesSkipInternalPages) {
-  StartCluster(1, 64, /*cache_enabled=*/true);
+  StartCluster(1, 64);
   ASSERT_TRUE(InsertRange(0, 0, 600, "a").ok());
   IndexCache* cache = nodes_[0]->index_cache();
   // First pass installs the internal image(s); later passes route through
@@ -88,7 +87,7 @@ TEST_F(IndexCacheTest, WarmRoutesSkipInternalPages) {
 }
 
 TEST_F(IndexCacheTest, DisabledCacheStaysCold) {
-  StartCluster(1, 64, /*cache_enabled=*/false);
+  StartCluster(1, /*cache_slots=*/0);
   ASSERT_TRUE(InsertRange(0, 0, 300, "a").ok());
   for (int64_t k = 0; k < 300; k += 13) {
     auto v = Read1(0, k);
@@ -105,7 +104,7 @@ TEST_F(IndexCacheTest, DisabledCacheStaysCold) {
 // and refreshes with a one-sided seqlock-validated read — after which every
 // key, including ones that moved during the split, is found.
 TEST_F(IndexCacheTest, RemoteSplitInvalidatesCachedRouteAfterPush) {
-  StartCluster(2, 64, /*cache_enabled=*/true);
+  StartCluster(2, 64);
   ASSERT_TRUE(InsertRange(0, 0, 600, "a").ok());
 
   // Warm node 0's cache (installs the root/internal images).
@@ -138,7 +137,7 @@ TEST_F(IndexCacheTest, RemoteSplitInvalidatesCachedRouteAfterPush) {
 // at-or-left of the key's home and the B-link right-walk heals them. Pure
 // correctness assertion — no counter can (or should) fire here.
 TEST_F(IndexCacheTest, StaleRouteHealsByRightWalkWithoutPush) {
-  StartCluster(2, 64, /*cache_enabled=*/true);
+  StartCluster(2, 64);
   ASSERT_TRUE(InsertRange(0, 0, 600, "a").ok());
   for (int64_t k = 0; k < 600; k += 17) {
     ASSERT_TRUE(Read1(0, k).ok());
@@ -153,7 +152,7 @@ TEST_F(IndexCacheTest, StaleRouteHealsByRightWalkWithoutPush) {
 }
 
 TEST_F(IndexCacheTest, LocalSplitInvalidatesOwnRoute) {
-  StartCluster(1, 64, /*cache_enabled=*/true);
+  StartCluster(1, 64);
   ASSERT_TRUE(InsertRange(0, 0, 400, "a").ok());
   for (int64_t k = 0; k < 400; k += 17) {
     ASSERT_TRUE(Read1(0, k).ok());
@@ -171,7 +170,7 @@ TEST_F(IndexCacheTest, LocalSplitInvalidatesOwnRoute) {
 // Writers route through the cache too, and mixed read/write traffic under
 // continuous remote splits stays correct.
 TEST_F(IndexCacheTest, CachedRoutesServeWritesUnderRemoteChurn) {
-  StartCluster(2, 64, /*cache_enabled=*/true);
+  StartCluster(2, 64);
   ASSERT_TRUE(InsertRange(0, 0, 400, "a").ok());
   for (int64_t k = 0; k < 400; k += 17) {
     ASSERT_TRUE(Read1(0, k).ok());
@@ -201,7 +200,7 @@ TEST_F(IndexCacheTest, CachedRoutesServeWritesUnderRemoteChurn) {
 // the cache (the page's PLock stays put) and routing stays correct
 // throughout.
 TEST_F(IndexCacheTest, TinyCacheEvictsAndStaysCorrect) {
-  StartCluster(1, 2, /*cache_enabled=*/true);
+  StartCluster(1, 2);
   // 40-byte values force ~3 levels at 1 KiB pages: multiple internal pages
   // compete for the 2 slots.
   ASSERT_TRUE(InsertRange(0, 0, 1400, "a", 40).ok());
@@ -219,7 +218,7 @@ TEST_F(IndexCacheTest, TinyCacheEvictsAndStaysCorrect) {
 // page has been touched, further passes that keep evicting and reloading
 // pages re-pin them with local grants only, never a fusion round trip.
 TEST_F(IndexCacheTest, LbpEvictionLeavesLeaseForCachedPages) {
-  StartCluster(1, 64, /*cache_enabled=*/true, /*lbp_frames=*/8);
+  StartCluster(1, 64, /*lbp_frames=*/8);
   ASSERT_TRUE(InsertRange(0, 0, 400, "a").ok());
   PLockManager* plock = nodes_[0]->plock_manager();
   BufferPool* lbp = nodes_[0]->buffer_pool();
@@ -252,7 +251,7 @@ TEST_F(IndexCacheTest, LbpEvictionLeavesLeaseForCachedPages) {
 // Crash + recovery drops the cache; post-recovery traffic rebuilds it and
 // reads stay correct (restart re-registers the flag region).
 TEST_F(IndexCacheTest, SurvivesCrashRecovery) {
-  StartCluster(2, 64, /*cache_enabled=*/true);
+  StartCluster(2, 64);
   ASSERT_TRUE(InsertRange(0, 0, 500, "a").ok());
   for (int64_t k = 0; k < 500; k += 17) {
     ASSERT_TRUE(Read1(0, k).ok());

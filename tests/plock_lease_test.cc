@@ -149,7 +149,7 @@ class PLockEvictionTest : public ::testing::Test {
     ClusterOptions opts;
     opts.page_size = 1024;
     opts.node.lbp.frames = 8;
-    opts.node.cache.enabled = false;
+    opts.node.cache.slots = 0;
     opts.node.trx.lock_wait_timeout_ms = 5000;
     auto cluster = Cluster::Create(opts);
     ASSERT_TRUE(cluster.ok());

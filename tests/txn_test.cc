@@ -495,6 +495,45 @@ TEST_F(TxnTest, GetForUpdateBasicsAndRollback) {
   EXPECT_TRUE(NewSession().GetForUpdate(table_, 1).status().IsNotFound());
 }
 
+// A locking read obeys the same snapshot-isolation conflict rules as a
+// write: it may not lock a version its snapshot cannot have seen.
+TEST_F(TxnTest, GetForUpdateObeysSnapshotConflicts) {
+  {
+    Session s = NewSession();
+    ASSERT_TRUE(s.Insert(table_, 1, "base").ok());
+    ASSERT_TRUE(s.Insert(table_, 2, "base").ok());
+    ASSERT_TRUE(s.Commit().ok());
+  }
+  // First-committer-wins: a version committed after the snapshot.
+  {
+    Session a = NewSession(IsolationLevel::kSnapshotIsolation);
+    EXPECT_EQ(a.Get(table_, 1).value(), "base");  // pin snapshot
+    Session b = NewSession();
+    ASSERT_TRUE(b.Update(table_, 1, "from-b").ok());
+    ASSERT_TRUE(b.Commit().ok());
+    EXPECT_TRUE(a.GetForUpdate(table_, 1).status().IsAborted());
+  }
+  // First-updater-wins: the locking read blocks on b's uncommitted write
+  // and aborts once b commits.
+  Session b = NewSession();
+  ASSERT_TRUE(b.Update(table_, 2, "from-b").ok());
+  const uint64_t waits_before = node_->trx_manager()->lock_waits();
+  std::atomic<bool> a_done{false};
+  Status a_status;
+  std::thread reader([&] {
+    Session a(node_, IsolationLevel::kSnapshotIsolation);
+    ASSERT_TRUE(a.Begin().ok());
+    a_status = a.GetForUpdate(table_, 2).status();
+    a_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(a_done.load());
+  ASSERT_TRUE(b.Commit().ok());
+  reader.join();
+  EXPECT_TRUE(a_status.IsAborted()) << a_status.ToString();
+  EXPECT_GT(node_->trx_manager()->lock_waits(), waits_before);
+}
+
 TEST_F(TxnGsiTest, RollbackRevertsIndexEntries) {
   Session s = NewSession();
   ASSERT_TRUE(s.Insert(table_, 1, EncodeIndexedValue({5, 6}, "p")).ok());
