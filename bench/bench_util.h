@@ -10,7 +10,8 @@
 //   POLARMP_BENCH_THREADS      workers per node (default 2)
 //   POLARMP_BENCH_MAX_NODES    cap on the node-count sweep
 //
-// Loading runs with SetSimTimeScale(0) (instant), measurement at scale 1.
+// Loading and teardown run with SetSimTimeScale(0) (instant), measurement
+// at scale 1.
 
 #include <cstdio>
 #include <cstdlib>
@@ -111,7 +112,9 @@ inline double FabricOpsPerTxn() {
                   : 0.0;
 }
 
-// Loads `workload` at time-scale 0 (instant I/O), then measures at scale 1.
+// Loads `workload` at time-scale 0 (instant I/O), measures at scale 1, then
+// returns at scale 0 so the caller's teardown (node stop, final flushes)
+// costs no simulated latency.
 inline DriverResult SetupAndRun(Database* db, Workload* workload, int nodes,
                                 const BenchConfig& cfg) {
   SetSimTimeScale(0.0);
@@ -127,7 +130,9 @@ inline DriverResult SetupAndRun(Database* db, Workload* workload, int nodes,
   opts.threads_per_node = cfg.threads_per_node;
   opts.warmup_ms = cfg.warmup_ms;
   opts.duration_ms = cfg.measure_ms;
-  return RunWorkload(db, workload, opts);
+  const DriverResult result = RunWorkload(db, workload, opts);
+  SetSimTimeScale(0.0);
+  return result;
 }
 
 inline void PrintFigureHeader(const char* figure, const char* title) {

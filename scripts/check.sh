@@ -19,7 +19,8 @@
 #                               # short measure window; fails if the bench
 #                               # errors or the metrics sidecar is missing;
 #                               # also runs the bank_transfer example whose
-#                               # exit code checks balance conservation
+#                               # exit code checks balance conservation and
+#                               # repeats the TsoClient tests 40 times
 #   scripts/check.sh chaos      # seeded fault-injection soak: benches under
 #                               # DefaultChaosPlan(42) plus an online node
 #                               # takeover; sidecars must show faults fired
@@ -187,6 +188,11 @@ run_mode() {
       for seed in 17 23; do
         POLARMP_BANK_SEED="${seed}" ./build/examples/bank_transfer
       done
+      # Linear Lamport coalescing depends on real thread interleavings, so
+      # one pass samples it; 40 repeats gate its stability.
+      cmake --build build -j "${JOBS}" --target polarmp_tests
+      ./build/tests/polarmp_tests --gtest_filter='TsoClientTest.*' \
+        --gtest_repeat=40 --gtest_brief=1
       echo "smoke OK: sidecars ${sidecar} ${cache_sidecar}"
       ;;
     chaos)

@@ -17,16 +17,33 @@ std::atomic<uint64_t> g_total_ns{0};
 std::atomic<uint64_t> g_total_count{0};
 
 // Linux sleeps overshoot by 60-90us (timer slack) and spinning to a
-// deadline burns the single host core, so neither pure strategy works for
+// deadline burns a core per waiting thread (the simulated threads far
+// outnumber the host's cores), so neither pure strategy works for
 // RDMA-class (tens of us) delays. SimDelay instead BATCHES per thread:
 // short delays accrue in a thread-local account and are slept off together
-// once the account passes kBatchNanos. A worker's cumulative simulated
+// once the account passes kSimBatchNanos. A worker's cumulative simulated
 // latency — what throughput measurements integrate over — stays exact up
 // to one sleep's overshoot per batch (a uniform few-percent inflation that
 // cancels in every ratio); only sub-batch timing interleavings are
 // approximated. Delays at or above the threshold sleep immediately.
-constexpr uint64_t kBatchNanos = 300'000;
+//
+// The leader rule: a thread leading a coalesced TSO fetch (pmfs/tso.h)
+// sleeps no batch while its peers wait on it. Otherwise a 15us fetch that
+// tips the leader's account over the threshold sleeps 300us+ of EARLIER
+// debt while every other reader blocks on the fetch, and none of them can
+// reuse it afterwards (they arrived after it started) — a per-node convoy.
+// Inside a deferral scope sub-batch delays only accrue; a delay that fills
+// a batch by itself is the role's own latency and sleeps at once. The debt
+// is slept once the role is handed off (EndSimSleepDeferral).
 thread_local uint64_t t_pending_ns = 0;
+thread_local bool t_deferring = false;
+
+void SleepPendingIfOverBatch() {
+  if (t_pending_ns < kSimBatchNanos) return;
+  const uint64_t to_sleep = t_pending_ns;
+  t_pending_ns = 0;
+  std::this_thread::sleep_for(std::chrono::nanoseconds(to_sleep));
+}
 }  // namespace
 
 LatencyProfile ZeroLatencyProfile() {
@@ -70,11 +87,23 @@ void SimDelay(uint64_t ns) {
   g_total_ns.fetch_add(scaled, std::memory_order_relaxed);
   g_total_count.fetch_add(1, std::memory_order_relaxed);
   if (scaled == 0) return;
-  t_pending_ns += scaled;
-  if (t_pending_ns < kBatchNanos) return;
-  const uint64_t to_sleep = t_pending_ns;
-  t_pending_ns = 0;
-  std::this_thread::sleep_for(std::chrono::nanoseconds(to_sleep));
+  if (!t_deferring) {
+    t_pending_ns += scaled;
+    SleepPendingIfOverBatch();
+  } else if (scaled < kSimBatchNanos) {
+    t_pending_ns += scaled;
+  } else {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(scaled));
+  }
 }
+
+void BeginSimSleepDeferral() { t_deferring = true; }
+
+void EndSimSleepDeferral() {
+  t_deferring = false;
+  SleepPendingIfOverBatch();
+}
+
+uint64_t PendingSimDelayNanos() { return t_pending_ns; }
 
 }  // namespace polarmp

@@ -43,15 +43,34 @@ LatencyProfile ZeroLatencyProfile();
 // Default profile used by benchmarks; see struct defaults.
 LatencyProfile BenchLatencyProfile();
 
-// Injects a delay of `ns` nanoseconds: short delays busy-spin (accurate to
-// ~100ns), long ones sleep so that latency-bound worker threads overlap on
-// a small host. A process-wide scale factor lets benches compress time.
+// Injects a delay of `ns` nanoseconds. Delays are batched per thread (see
+// sim_latency.cc): short ones accrue and are slept off together once the
+// thread's account reaches kSimBatchNanos; a delay at or above it sleeps at
+// once. Sleeping lets latency-bound worker threads overlap on a host with
+// far fewer cores than threads. A process-wide scale factor lets benches
+// compress time.
+inline constexpr uint64_t kSimBatchNanos = 300'000;
 void SimDelay(uint64_t ns);
 
 // Multiplies every SimDelay by `scale` (default 1.0). Benches may use
 // <1.0 to compress wall-clock time uniformly, preserving ratios.
 void SetSimTimeScale(double scale);
 double GetSimTimeScale();
+
+// Leader-role deferral. A thread whose peers block until it finishes (the
+// TSO fetch leader, pmfs/tso.h) must not sleep batched debt it ran up
+// before taking the role. Between BeginSimSleepDeferral() and
+// EndSimSleepDeferral() sub-batch delays accrue without sleeping even past
+// the batch threshold; a single delay at or above the threshold is the
+// role's own latency and still sleeps at once (leaving the earlier debt
+// pending). EndSimSleepDeferral() applies the batch rule to the debt: call
+// it only after releasing whatever the peers wait on. Totals are charged
+// at SimDelay time either way, so TotalSimDelayNanos() is unaffected.
+void BeginSimSleepDeferral();
+void EndSimSleepDeferral();
+
+// The calling thread's accrued, not yet slept simulated nanoseconds.
+uint64_t PendingSimDelayNanos();
 
 // Counters for observability: total simulated nanoseconds injected and
 // number of injections, process-wide.

@@ -1,5 +1,6 @@
 #include "pmfs/tso.h"
 
+#include "common/sim_latency.h"
 #include "rdma/retry_policy.h"
 
 namespace polarmp {
@@ -61,6 +62,9 @@ StatusOr<Csn> TsoClient::ReadTimestamp() {
     fetch_in_flight_ = true;
     lock.unlock();
 
+    // Peers block on this fetch: sleep no batched debt until they are
+    // woken and fetch_mu_ is released (see the class comment).
+    BeginSimSleepDeferral();
     const uint64_t started = NowNanos();
     auto ts = tso_->CurrentCts(self_);
     fetches_.Inc();
@@ -72,6 +76,8 @@ StatusOr<Csn> TsoClient::ReadTimestamp() {
     lock.lock();
     fetch_in_flight_ = false;
     fetch_cv_.notify_all();
+    lock.unlock();
+    EndSimSleepDeferral();
     return ts;
   }
 }

@@ -48,6 +48,11 @@ class Tso {
 // reuse a timestamp that was *fetched after the request arrived*, which
 // collapses concurrent read-view fetches into one TSO round trip under
 // read-committed isolation.
+//
+// The thread that leads a fetch sleeps no batched SimDelay debt while
+// peers wait on it (common/sim_latency.h, BeginSimSleepDeferral): only a
+// fetch latency that fills a batch by itself sleeps inside the role; the
+// rest is slept after fetch_mu_ is released.
 class TsoClient {
  public:
   TsoClient(Tso* tso, EndpointId self, bool use_linear_lamport)

@@ -181,5 +181,41 @@ TEST(SimLatencyTest, CountsAndScales) {
   ResetSimDelayCounters();
 }
 
+TEST(SimLatencyTest, DeferralHoldsBatchedDebtUntilTheScopeEnds) {
+  SetSimTimeScale(1.0);
+  // Top the account up to one batch so it is slept and starts empty.
+  SimDelay(kSimBatchNanos - PendingSimDelayNanos());
+  ASSERT_EQ(PendingSimDelayNanos(), 0u);
+  ResetSimDelayCounters();
+
+  constexpr uint64_t kSub = kSimBatchNanos / 3 + 1;
+  static_assert(3 * kSub > kSimBatchNanos && kSub < kSimBatchNanos);
+  BeginSimSleepDeferral();
+  for (int i = 0; i < 3; ++i) SimDelay(kSub);
+  EXPECT_EQ(PendingSimDelayNanos(), 3 * kSub);  // accrued, not slept
+  SimDelay(kSimBatchNanos);  // the role's own latency sleeps at once
+  EXPECT_EQ(PendingSimDelayNanos(), 3 * kSub);
+  SetSimTimeScale(0.0);
+  SimDelay(kSub);  // time scale 0 stays free inside the scope too
+  SetSimTimeScale(1.0);
+  EXPECT_EQ(PendingSimDelayNanos(), 3 * kSub);
+  const uint64_t total = TotalSimDelayNanos();
+  EXPECT_EQ(total, 3 * kSub + kSimBatchNanos);
+  EndSimSleepDeferral();
+  EXPECT_EQ(PendingSimDelayNanos(), 0u);  // settled
+  EXPECT_EQ(TotalSimDelayNanos(), total);
+
+  // Debt under one batch stays pending past the scope, as outside it.
+  BeginSimSleepDeferral();
+  SimDelay(kSub);
+  EndSimSleepDeferral();
+  EXPECT_EQ(PendingSimDelayNanos(), kSub);
+  // And outside the scope the account is slept once it passes a batch.
+  SimDelay(kSimBatchNanos);
+  EXPECT_EQ(PendingSimDelayNanos(), 0u);
+  EXPECT_EQ(TotalSimDelayNanos(), total + kSub + kSimBatchNanos);
+  ResetSimDelayCounters();
+}
+
 }  // namespace
 }  // namespace polarmp

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
-#include <vector>
 #include <vector>
 
 #include "pmfs/tso.h"
@@ -165,6 +165,42 @@ TEST(TsoClientTest, LinearLamportCoalescesConcurrentFetches) {
   EXPECT_EQ(client.fetches() + client.reuses(), kThreads * kReads);
   EXPECT_GT(client.reuses(), 0u);
   EXPECT_LT(client.fetches(), static_cast<uint64_t>(kThreads) * kReads);
+}
+
+TEST(TsoClientTest, LinearLamportNeverReusesAFetchOlderThanTheCaller) {
+  // A read timestamp must cover every commit timestamp handed out before
+  // the read arrived. Checkers take a commit timestamp, then read: a reused
+  // fetch that started before their arrival may have sampled the TSO before
+  // that commit timestamp existed. Pacers keep fetches in flight, and a
+  // fetch takes at least one batch of wall time, so reads really coalesce.
+  LatencyProfile profile = ZeroLatencyProfile();
+  profile.rdma_read_ns = kSimBatchNanos;
+  Fabric fabric(profile);
+  Tso tso(&fabric);
+  TsoClient client(&tso, 1, /*use_linear_lamport=*/true);
+  constexpr int kCheckers = 4, kPacers = 2, kReads = 40;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> pacers;
+  for (int t = 0; t < kPacers; ++t) {
+    pacers.emplace_back([&] {
+      while (!done.load()) ASSERT_TRUE(client.ReadTimestamp().ok());
+    });
+  }
+  std::vector<std::thread> checkers;
+  for (int t = 0; t < kCheckers; ++t) {
+    checkers.emplace_back([&] {
+      for (int i = 0; i < kReads; ++i) {
+        auto committed = tso.NextCts(1);
+        ASSERT_TRUE(committed.ok());
+        auto read = client.ReadTimestamp();
+        ASSERT_TRUE(read.ok());
+        EXPECT_GE(read.value(), committed.value());
+      }
+    });
+  }
+  for (auto& t : checkers) t.join();
+  done.store(true);
+  for (auto& t : pacers) t.join();
 }
 
 TEST(TsoClientTest, WithoutLltEveryReadFetches) {
