@@ -19,8 +19,9 @@
 #                               # short measure window; fails if the bench
 #                               # errors or the metrics sidecar is missing;
 #                               # also runs the bank_transfer example whose
-#                               # exit code checks balance conservation and
-#                               # repeats the TsoClient tests 40 times
+#                               # exit code checks balance conservation,
+#                               # repeats the TsoClient tests 40 times and
+#                               # the torn seqlocked-write test 20 times
 #   scripts/check.sh chaos      # seeded fault-injection soak: benches under
 #                               # DefaultChaosPlan(42) plus an online node
 #                               # takeover; sidecars must show faults fired
@@ -193,6 +194,11 @@ run_mode() {
       cmake --build build -j "${JOBS}" --target polarmp_tests
       ./build/tests/polarmp_tests --gtest_filter='TsoClientTest.*' \
         --gtest_repeat=40 --gtest_brief=1
+      # The seqlocked reader must outwait a torn write's window however
+      # slowly it is scheduled; 20 repeats gate that.
+      ./build/tests/polarmp_tests \
+        --gtest_filter='FaultInjectionTest.TornSeqlockedWriteNeverSurfacesMixedImage' \
+        --gtest_repeat=20 --gtest_brief=1
       echo "smoke OK: sidecars ${sidecar} ${cache_sidecar}"
       ;;
     chaos)

@@ -1,6 +1,7 @@
 #include "dsm/dsm.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -155,7 +156,15 @@ Status Dsm::ReadSeqlockedOnce(EndpointId from, DsmPtr frame, void* dst,
   fabric_->ChargeOneSidedRead(from, server);
   auto* seq = reinterpret_cast<std::atomic<uint64_t>*>(HostPtr(frame));
   const char* data = HostPtr(DsmPtr{frame.server, frame.offset + 8});
-  for (int attempt = 0; attempt < 100000; ++attempt) {
+  // The spin is bounded by elapsed time, not by a count: a yield budget is
+  // spent faster by a fast process than by a loaded one, and a reader must
+  // outwait any writer that is still in its window. 5 s is 2500x the
+  // longest torn window the tests inject (2 ms; chaos plans use 50 us) and
+  // leaves room for a writer descheduled on a loaded sanitizer host, while
+  // a guard word left odd by a bug still fails the read within seconds.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
     const uint64_t s1 = seq->load(std::memory_order_acquire);
     if (s1 % 2 == 1) {
       std::this_thread::yield();

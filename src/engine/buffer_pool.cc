@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "rdma/rpc.h"
-
 namespace polarmp {
 
 namespace {
@@ -195,16 +193,11 @@ Status BufferPool::EvictLocked(uint32_t idx) {
   mu_.unlock();
 
   Status st = Status::OK();
-  {
-    // Doorbell batch: the eviction's control-plane RPCs (push notify, copy
-    // unregister) ride one fabric operation.
-    RpcBatch batch(fabric_, node_, kPmfsEndpoint);
-    if (was_dirty) {
-      st = PushFrame(idx, /*clean_load=*/false);
-    }
-    if (st.ok()) {
-      st = buffer_fusion_->UnregisterCopy(node_, old_page);
-    }
+  if (was_dirty) {
+    st = PushFrame(idx, /*clean_load=*/false);
+  }
+  if (st.ok()) {
+    st = buffer_fusion_->UnregisterCopy(node_, old_page);
   }
 
   mu_.lock();

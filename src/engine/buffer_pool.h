@@ -158,6 +158,13 @@ class BufferPool {
   // The page's PLock stays with the node (lazy release, §4.3.1): only Lock
   // Fusion negotiation takes it away. Drops mu_ around the RPCs and
   // reacquires it before returning.
+  //
+  // Opens no doorbell scope of its own: a dirty victim's push notify and
+  // the unregister join the caller's (Mtr::Acquire's RpcBatch), and so
+  // does the new page's RegisterCopy, so a miss that evicts a clean frame
+  // costs one PMFS round trip plus the one-sided page read. The unregister
+  // completes before the frame is reused, so a later push of the old page
+  // cannot set the frame's invalid flag.
   Status EvictLocked(uint32_t idx) REQUIRES(mu_);
 
   // Loads content into an installing frame. Called without mu_.

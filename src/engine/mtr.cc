@@ -14,8 +14,10 @@ StatusOr<size_t> Mtr::Acquire(PageId page, LockMode mode, bool create,
                               bool virtual_lock) {
   POLARMP_CHECK_EQ(FindGuard(page), -1)
       << "page acquired twice in one mtr: " << page.ToString();
-  // Doorbell batch: the PLock pin and the LBP miss's RegisterCopy (plus a
-  // clean-load NotifyPush, when one happens) ride one fabric operation.
+  // Doorbell batch: the PLock pin and the LBP miss's RPCs (the victim's
+  // push notify and unregister, the RegisterCopy, a clean-load NotifyPush)
+  // ride one fabric operation. The nested scope of a release that Pin runs
+  // (ReturnToFusion) joins this one.
   RpcBatch batch(ctx_->lbp->fabric(), ctx_->node, kPmfsEndpoint);
   POLARMP_RETURN_IF_ERROR(
       ctx_->plock->Pin(page, mode, ctx_->plock_timeout_ms));

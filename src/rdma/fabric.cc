@@ -22,9 +22,11 @@ struct RpcBatchFrame {
 // one CPU posting a WR chain), so a plain thread_local stack needs no lock.
 thread_local std::vector<RpcBatchFrame> g_rpc_batches;
 
+// The outermost open batch for the pair owns the doorbell: nested scopes
+// for the same pair join it (see Fabric::BeginRpcBatch).
 RpcBatchFrame* FindBatch(const Fabric* fabric, EndpointId from,
                          EndpointId to) {
-  for (auto it = g_rpc_batches.rbegin(); it != g_rpc_batches.rend(); ++it) {
+  for (auto it = g_rpc_batches.begin(); it != g_rpc_batches.end(); ++it) {
     if (it->fabric == fabric && it->from == from && it->to == to) return &*it;
   }
   return nullptr;

@@ -110,9 +110,21 @@ class Fabric {
   // the matching EndRpcBatch on the SAME thread, the first ChargeRpc to
   // (from, to) pays latency and counts as a round trip; every further
   // ChargeRpc to the same pair rides the same doorbell — it counts only in
-  // fabric.rpcs_coalesced and is free. Batches nest LIFO (a handler that
-  // runs inside an RPC may open its own batch for a different pair).
-  // Prefer the RpcBatch RAII wrapper in rdma/rpc.h.
+  // fabric.rpcs_coalesced and is free.
+  //
+  // One doorbell per (fabric, from, to) per thread: the outermost open
+  // scope's. A nested scope for the same pair joins it (it pays only if
+  // the outer scope has not paid yet, and the outer scope stays paid after
+  // it ends); a nested scope for a different pair (a handler that runs
+  // inside an RPC and calls out on its own behalf) rings its own. Scopes
+  // still end in LIFO order. The modelling argument: the RPCs inside one
+  // outermost scope are RPCs a client can post as one WR chain once the
+  // local work they depend on is done. On an LBP miss, Unregister(victim)
+  // and Register(new page) are independent of each other; on a dirty
+  // eviction the client forces the log and does the one-sided push first,
+  // then posts [NotifyPush, Unregister, Register] as one chain. A PLock
+  // upgrade's release of an idle weak hold and its reacquire form the same
+  // kind of chain. Prefer the RpcBatch RAII wrapper in rdma/rpc.h.
   void BeginRpcBatch(EndpointId from, EndpointId to) const;
   void EndRpcBatch(EndpointId from, EndpointId to) const;
 

@@ -49,10 +49,12 @@ class Rpc {
 // `from` to `to` after the first one rides the first one's doorbell — one
 // fabric round trip carries all of them (a WR chain posted with a single
 // doorbell ring). Used by multi-RPC sequences that a real client would
-// batch: Mtr::Acquire's PLock-pin + page-fetch pair, the buffer pool's
-// evict-time push-notify + copy-unregister pair, the PLock release's
-// flush-notify + unlock pair. Scopes nest LIFO; destruction order must
-// mirror construction order on the thread.
+// batch: Mtr::Acquire's PLock-pin + page-fetch pair, an LBP miss's victim
+// unregister + register (after a dirty victim's push notify), Pin's
+// release + reacquire of an idle weak hold, the PLock release's
+// flush-notify + unlock pair. A nested scope for the same pair joins the
+// outermost one (see Fabric::BeginRpcBatch); destruction order must mirror
+// construction order on the thread.
 class RpcBatch {
  public:
   RpcBatch(Fabric* fabric, EndpointId from, EndpointId to)

@@ -147,6 +147,151 @@ TEST_F(NodeEngineTest, LazyPlockStatsAccumulate) {
 }
 
 // ---------------------------------------------------------------------------
+// LBP misses through Mtr::Acquire on two nodes with an 8-frame LBP. The
+// background loops are parked so fabric counter deltas are exact. Pages
+// are raw pages of one table's space; each page's `next` link names its
+// content version.
+// ---------------------------------------------------------------------------
+class LbpMissTest : public ::testing::Test {
+ protected:
+  static constexpr int kPages = 16;
+
+  void SetUp() override {
+    ClusterOptions opts;
+    opts.page_size = 1024;
+    opts.node.lbp.frames = 8;
+    opts.node.cache.slots = 0;
+    opts.node.background_interval_ms = 3'600'000;
+    auto cluster = Cluster::Create(opts);
+    ASSERT_TRUE(cluster.ok());
+    cluster_ = std::move(cluster).value();
+    a_ = cluster_->AddNode().value();
+    b_ = cluster_->AddNode().value();
+    const SpaceId space = cluster_->CreateTable("t").value().primary_space;
+    for (int i = 0; i < kPages; ++i) {
+      pages_.push_back(
+          PageId{space, cluster_->page_store()->AllocPageNo(space).value()});
+    }
+    // A creates all 16 pages; the first 8 are pushed by their (dirty)
+    // eviction. Reading them back pushes the other 8 the same way, so every
+    // page is in the DBP, A caches pages 0..7 clean in LRU order, and A
+    // keeps an X PLock on all 16.
+    for (int i = 0; i < kPages; ++i) {
+      Mtr mtr(a_->engine());
+      const size_t g = mtr.CreatePage(pages_[i]).value();
+      ASSERT_TRUE(mtr.LogInitPage(g, 0, kInvalidPageNo, 1000 + i).ok());
+      mtr.Commit();
+    }
+    for (int i = 0; i < kPages / 2; ++i) {
+      ASSERT_EQ(ReadNext(a_, i), 1000u + i);
+    }
+  }
+
+  // Reads page i's `next` link on `node` under an S guard.
+  PageNo ReadNext(DbNode* node, int i) {
+    Mtr mtr(node->engine());
+    auto g = mtr.GetPage(pages_[i], LockMode::kShared);
+    EXPECT_TRUE(g.ok()) << g.status().ToString();
+    if (!g.ok()) return kInvalidPageNo;
+    const PageNo next = mtr.PageAt(g.value()).next();
+    mtr.Commit();
+    return next;
+  }
+
+  // Writes page i's `next` link on `node`, then pushes the page to the DBP
+  // (which invalidates every other registered copy).
+  void WriteAndPush(DbNode* node, int i, PageNo next) {
+    {
+      Mtr mtr(node->engine());
+      auto g = mtr.GetPage(pages_[i], LockMode::kExclusive);
+      ASSERT_TRUE(g.ok()) << g.status().ToString();
+      ASSERT_TRUE(mtr.LogSetLinks(g.value(), kInvalidPageNo, next).ok());
+      mtr.Commit();
+    }
+    ASSERT_TRUE(node->buffer_pool()->FlushPageForRelease(pages_[i]).ok());
+  }
+
+  // The LBP frame caching page i on `node`, or UINT32_MAX. Touches the
+  // frame's LRU position.
+  uint32_t FrameOf(DbNode* node, int i) {
+    const BufferPool::Handle h = node->buffer_pool()->TryGetCached(pages_[i]);
+    if (!h.valid()) return UINT32_MAX;
+    node->buffer_pool()->Unpin(h);
+    return h.frame;
+  }
+
+  // Reads frame `frame`'s invalid flag on A's LBP (local, so uncharged).
+  uint64_t InvalidFlag(uint32_t frame) {
+    return cluster_->fabric()
+        ->Load64(a_->id(), a_->id(), kLbpFlagsRegion, frame * sizeof(uint64_t))
+        .value();
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+  DbNode* a_ = nullptr;
+  DbNode* b_ = nullptr;
+  std::vector<PageId> pages_;
+};
+
+// A miss that evicts a clean frame is one PMFS round trip (the victim's
+// unregister and the new page's register share a doorbell) plus the
+// one-sided page read, under a retained PLock (no Lock Fusion call).
+TEST_F(LbpMissTest, CleanEvictionMissIsOneRpcPlusOneRead) {
+  Fabric* fabric = cluster_->fabric();
+  BufferPool* lbp = a_->buffer_pool();
+  for (int i = kPages / 2; i < kPages; ++i) {
+    const uint64_t rpcs = fabric->rpcs();
+    const uint64_t coalesced = fabric->rpcs_coalesced();
+    const uint64_t reads = fabric->remote_reads();
+    const uint64_t fetches = lbp->dbp_fetches();
+    const uint64_t fusion = a_->plock_manager()->fusion_acquires();
+    ASSERT_EQ(ReadNext(a_, i), 1000u + i);
+    EXPECT_EQ(fabric->rpcs() - rpcs, 1u) << "page " << i;
+    EXPECT_EQ(fabric->rpcs_coalesced() - coalesced, 1u) << "page " << i;
+    EXPECT_EQ(fabric->remote_reads() - reads, 1u) << "page " << i;
+    EXPECT_EQ(lbp->dbp_fetches() - fetches, 1u) << "page " << i;
+    EXPECT_EQ(a_->plock_manager()->fusion_acquires(), fusion);
+  }
+}
+
+// A stale registration can only cause a spurious refetch, never a missed
+// invalidation: once frame f is reused for page Q, a push of the evicted
+// page P leaves f alone, and a push of Q flags f for exactly one refetch.
+TEST_F(LbpMissTest, ReusedFrameIgnoresOldPagePushButNotNewPagePush) {
+  constexpr int kP = 0;          // LRU victim of the next miss
+  constexpr int kQ = kPages / 2;  // evicted during set-up, not cached
+  BufferPool* lbp = a_->buffer_pool();
+  BufferFusion* fusion = cluster_->buffer_fusion();
+  const uint32_t f = FrameOf(a_, kP);
+  ASSERT_NE(f, UINT32_MAX);
+  for (int i = 1; i < kPages / 2; ++i) FrameOf(a_, i);  // keep LRU order
+  ASSERT_EQ(ReadNext(a_, kQ), 1000u + kQ);
+  ASSERT_EQ(FrameOf(a_, kQ), f);
+  ASSERT_EQ(FrameOf(a_, kP), UINT32_MAX);
+
+  // B writes and pushes P (negotiating A's retained X away).
+  const uint64_t invalidations = fusion->invalidations();
+  const uint64_t refetches = lbp->invalid_refetches();
+  ASSERT_NO_FATAL_FAILURE(WriteAndPush(b_, kP, 2000));
+  EXPECT_EQ(fusion->invalidations(), invalidations);
+  EXPECT_EQ(InvalidFlag(f), 0u);
+  EXPECT_EQ(ReadNext(a_, kQ), 1000u + kQ);
+  EXPECT_EQ(lbp->invalid_refetches(), refetches);
+  EXPECT_EQ(ReadNext(a_, kP), 2000u);
+
+  // B writes and pushes Q: A's frame f is flagged, and A's next read of Q
+  // refetches it exactly once.
+  ASSERT_NO_FATAL_FAILURE(WriteAndPush(b_, kQ, 3000));
+  EXPECT_EQ(fusion->invalidations(), invalidations + 1);
+  EXPECT_NE(InvalidFlag(f), 0u);
+  EXPECT_EQ(ReadNext(a_, kQ), 3000u);
+  EXPECT_EQ(lbp->invalid_refetches(), refetches + 1);
+  EXPECT_EQ(InvalidFlag(f), 0u);
+  EXPECT_EQ(ReadNext(a_, kQ), 3000u);
+  EXPECT_EQ(lbp->invalid_refetches(), refetches + 1);
+}
+
+// ---------------------------------------------------------------------------
 // Log stream invariant: per-node LLSNs are monotone in the stream (§4.4),
 // even under concurrent committers.
 // ---------------------------------------------------------------------------

@@ -148,6 +148,48 @@ TEST(RpcTest, CallDispatchesToHandler) {
   EXPECT_TRUE(rpc.Call(2, 9, 1, "hi", &resp).IsUnavailable());
 }
 
+// One doorbell per (from, to) per thread: the outermost open scope's.
+TEST(RpcTest, NestedBatchOnSamePairJoinsOuterDoorbell) {
+  Fabric fabric(ZeroLatencyProfile());
+  {
+    RpcBatch outer(&fabric, 2, 9);
+    {
+      // Outer not yet charged: the nested scope's first RPC pays for both.
+      RpcBatch inner(&fabric, 2, 9);
+      fabric.ChargeRpc(2, 9);
+      fabric.ChargeRpc(2, 9);
+      EXPECT_EQ(fabric.rpcs(), 1u);
+      EXPECT_EQ(fabric.rpcs_coalesced(), 1u);
+    }
+    // The outer scope stays charged after the nested one ends.
+    fabric.ChargeRpc(2, 9);
+    EXPECT_EQ(fabric.rpcs(), 1u);
+    EXPECT_EQ(fabric.rpcs_coalesced(), 2u);
+    {
+      // Outer already charged: a fresh nested scope's RPCs are free.
+      RpcBatch inner(&fabric, 2, 9);
+      fabric.ChargeRpc(2, 9);
+      EXPECT_EQ(fabric.rpcs(), 1u);
+      EXPECT_EQ(fabric.rpcs_coalesced(), 3u);
+    }
+    {
+      // A different pair rings its own doorbell, once; the outer pair
+      // still rides the outer one from inside it.
+      RpcBatch other(&fabric, 3, 9);
+      fabric.ChargeRpc(3, 9);
+      fabric.ChargeRpc(3, 9);
+      fabric.ChargeRpc(2, 9);
+      EXPECT_EQ(fabric.rpcs(), 2u);
+      EXPECT_EQ(fabric.rpcs_coalesced(), 5u);
+    }
+  }
+  // No scope open: every RPC pays.
+  fabric.ChargeRpc(2, 9);
+  fabric.ChargeRpc(2, 9);
+  EXPECT_EQ(fabric.rpcs(), 4u);
+  EXPECT_EQ(fabric.rpcs_coalesced(), 5u);
+}
+
 TEST(DsmTest, AllocateReadWrite) {
   Fabric fabric(ZeroLatencyProfile());
   Dsm dsm(&fabric, 2, 1 << 20);
