@@ -20,8 +20,9 @@
 #                               # errors or the metrics sidecar is missing;
 #                               # also runs the bank_transfer example whose
 #                               # exit code checks balance conservation,
-#                               # repeats the TsoClient tests 40 times and
-#                               # the torn seqlocked-write test 20 times
+#                               # repeats the TsoClient tests 40 times, and
+#                               # the torn seqlocked-write and interleaved
+#                               # CTS-backfill tests 20 times each
 #   scripts/check.sh chaos      # seeded fault-injection soak: benches under
 #                               # DefaultChaosPlan(42) plus an online node
 #                               # takeover; sidecars must show faults fired
@@ -194,6 +195,11 @@ run_mode() {
       cmake --build build -j "${JOBS}" --target polarmp_tests
       ./build/tests/polarmp_tests --gtest_filter='TsoClientTest.*' \
         --gtest_repeat=40 --gtest_brief=1
+      # Commit-time CTS backfill walks right past splits that a concurrent
+      # writer on the same node makes; 20 repeats sample its interleavings.
+      ./build/tests/polarmp_tests \
+        --gtest_filter='TxnTest.InterleavedWritersBackfillRowsEachOthersSplitsMoved' \
+        --gtest_repeat=20 --gtest_brief=1
       # The seqlocked reader must outwait a torn write's window however
       # slowly it is scheduled; 20 repeats gate that.
       ./build/tests/polarmp_tests \

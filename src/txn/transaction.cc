@@ -253,8 +253,7 @@ Status TrxManager::LockRow(Transaction* trx, BTree* tree, int64_t key,
             .store(std::min(trx->first_undo_offset_, undo_res.offset),
                    std::memory_order_release);
         trx->touched_.push_back(Transaction::TouchedRow{
-            mtr.PageIdAt(pos.guard), key, tree->space(),
-            (next.flags & kRowTombstone) != 0});
+            mtr.PageIdAt(pos.guard), key, (next.flags & kRowTombstone) != 0});
         return Status::OK();
       }
       // Conflict: fall through with all guards released (the Mtr destructor
@@ -400,37 +399,91 @@ Status TrxManager::FinishCommit(Transaction* trx, Csn provisional_cts,
   for (const auto& touched : trx->touched_) {
     if (touched.tombstone) {
       purge_queue_.push_back(
-          PurgeCandidate{touched.space, touched.key, final_cts});
+          PurgeCandidate{touched.page.space, touched.key, final_cts});
     }
   }
   return Status::OK();
 }
 
 void TrxManager::BackfillCts(Transaction* trx) {
+  BufferPool* const lbp = engine_->lbp;
+  PLockManager* const plock = engine_->plock;
+  // The one page held (PLock pin + exclusive frame latch) at a time. Moving
+  // on releases it before taking the next, so no two latches are ever held
+  // together and no acquisition order arises.
+  PageId held_id;
+  BufferPool::Handle held;
+  auto release = [&] {
+    if (!held.valid()) return;
+    lbp->Unlatch(held, LockMode::kExclusive);
+    lbp->Unpin(held);
+    plock->Unpin(held_id);
+    held = BufferPool::Handle{};
+  };
+  auto acquire = [&](PageId id) {
+    if (held.valid() && held_id == id) return true;
+    release();
+    if (!plock->TryPinLocal(id, LockMode::kExclusive)) return false;
+    held = lbp->TryGetCached(id);
+    if (!held.valid()) {
+      plock->Unpin(id);
+      return false;
+    }
+    lbp->Latch(held, LockMode::kExclusive);
+    held_id = id;
+    return true;
+  };
+  PageId prev_hint;
   for (const auto& touched : trx->touched_) {
-    if (!engine_->plock->TryPinLocal(touched.page, LockMode::kExclusive)) {
-      continue;
+    const int64_t key = touched.key;
+    // Start at the held leaf when its first key is <= key (leaves partition
+    // the key space and never merge, so the key's home is that leaf or
+    // right of it) and either it covers the key or the previous row had
+    // the same hint (rows a split moved off one leaf sit side by side, so
+    // this walk continues where that row's ended). Otherwise start at the
+    // hint (a no-op when it is held).
+    bool from_held = false;
+    if (held.valid()) {
+      const Page page(held.data, lbp->page_size());
+      from_held = held_id.space == touched.page.space && page.is_leaf() &&
+                  page.nslots() > 0 && key >= page.KeyAt(0) &&
+                  (key <= page.KeyAt(page.nslots() - 1) ||
+                   prev_hint == touched.page);
     }
-    BufferPool::Handle handle = engine_->lbp->TryGetCached(touched.page);
-    if (!handle.valid()) {
-      engine_->plock->Unpin(touched.page);
-      continue;
-    }
-    engine_->lbp->Latch(handle, LockMode::kExclusive);
-    Page page(handle.data, engine_->lbp->page_size());
-    const int slot = page.FindSlot(touched.key);
-    if (slot >= 0) {
-      auto row = page.RowAt(slot);
-      if (row.ok() && row.value().g_trx_id == trx->gid()) {
-        // Unlogged metadata refinement: after a crash the CTS is
-        // re-derivable (TIT mismatch ⇒ visible to all), so no redo needed.
-        page.SetRowCts(slot, trx->cts_);
+    prev_hint = touched.page;
+    bool done = false;
+    if (from_held || acquire(touched.page)) {
+      for (int hop = 0;; ++hop) {
+        Page page(held.data, lbp->page_size());
+        PageNo next = kInvalidPageNo;
+        if (!page.is_leaf()) {
+          // A root split turned the write-time leaf internal.
+          next = BTree::RouteChild(page, key);
+        } else if (const int slot = page.FindSlot(key); slot >= 0) {
+          auto row = page.RowAt(slot);
+          if (row.ok() && row.value().g_trx_id == trx->gid()) {
+            // Unlogged metadata refinement: after a crash the CTS is
+            // re-derivable (TIT mismatch ⇒ visible to all), so no redo
+            // needed.
+            page.SetRowCts(slot, trx->cts_);
+            done = true;
+          }
+          break;
+        } else if (page.nslots() > 0 && key > page.KeyAt(page.nslots() - 1)) {
+          // A split moved the row right. The next leaf is its home only if
+          // its low key admits the key; a leaf that does not (or is empty)
+          // ends the walk at its FindSlot miss below.
+          next = page.next();
+        }
+        if (next == kInvalidPageNo || hop == kBackfillMaxHops ||
+            !acquire(PageId{held_id.space, next})) {
+          break;
+        }
       }
     }
-    engine_->lbp->Unlatch(handle, LockMode::kExclusive);
-    engine_->lbp->Unpin(handle);
-    engine_->plock->Unpin(touched.page);
+    (done ? backfilled_rows_ : backfill_skips_).Inc();
   }
+  release();
 }
 
 void TrxManager::FinishWaiters(Transaction* trx) {

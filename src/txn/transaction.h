@@ -74,7 +74,6 @@ class Transaction {
   struct TouchedRow {
     PageId page;  // leaf the row lived on at write time (backfill hint)
     int64_t key;
-    SpaceId space;
     bool tombstone;
   };
 
@@ -190,10 +189,16 @@ class TrxManager {
   uint64_t purged_rows() const { return purged_rows_.Value(); }
   uint64_t lock_waits() const { return lock_waits_.Value(); }
   uint64_t deadlock_aborts() const { return deadlock_aborts_.Value(); }
+  uint64_t backfilled_rows() const { return backfilled_rows_.Value(); }
+  uint64_t backfill_skips() const { return backfill_skips_.Value(); }
 
  private:
   // Row-lock attempts (each after a wait on a holder) before Busy.
   static constexpr int kRowLockRetryLimit = 64;
+  // Pages BackfillCts may step to past a row's write-time leaf. A commit's
+  // own splits move a row one or two leaves right; the bound keeps a stale
+  // hint from scanning the chain.
+  static constexpr int kBackfillMaxHops = 8;
 
   // The version LockRow installs once it holds the row lock.
   struct NewVersion {
@@ -234,7 +239,15 @@ class TrxManager {
   StatusOr<std::optional<RowVersion>> VisibleVersion(
       const Transaction* trx, const RowView& row) const;
 
-  // Best-effort commit-time CTS backfill (§4.1).
+  // Best-effort commit-time CTS backfill (§4.1) into the LBP-resident rows
+  // the transaction wrote. A row a split moved off its write-time leaf is
+  // followed right along the leaf chain (the B-link low-key rule of
+  // BTree::SearchLeaf), and a leaf a root split turned internal is routed
+  // down, for at most kBackfillMaxHops pages per row. Consecutive rows on
+  // one page share one PLock pin and frame latch. Local only: pages are
+  // taken with TryPinLocal + TryGetCached, so it issues no fabric op and
+  // never blocks on a PLock; a row it cannot reach keeps kCsnInit and
+  // readers resolve it through the TIT.
   void BackfillCts(Transaction* trx);
 
   // Second half of Commit, after the force returned `force_status`:
@@ -285,6 +298,10 @@ class TrxManager {
 
   obs::Counter lock_waits_{"txn.lock_waits"};
   obs::Counter deadlock_aborts_{"txn.deadlock_aborts"};
+  // Commit-time backfill outcome per touched row: CTS written, or skipped
+  // (PLock not held locally, page not cached, or row not found).
+  obs::Counter backfilled_rows_{"txn.backfilled_rows"};
+  obs::Counter backfill_skips_{"txn.backfill_skips"};
   obs::Counter commits_{"txn_fusion.commits"};
   // All committed transactions INCLUDING read-only ones (which skip the
   // commit pipeline above). Benches derive fabric_ops_per_txn from this.

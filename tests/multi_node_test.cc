@@ -144,6 +144,31 @@ TEST_F(MultiNodeTest, ReadCommittedSeesRemoteCommitsViaRemoteTit) {
   EXPECT_GT(cluster_->fabric()->remote_reads(), reads_before);
 }
 
+TEST_F(MultiNodeTest, SplitMovedRowsNeedNoRemoteTitRead) {
+  // Node 0 loads ascending keys in one transaction; its splits move most
+  // rows off the leaf they were written on. The commit still backfills
+  // every row's CTS, so node 1 resolves them all from the row images and
+  // never reads node 0's TIT.
+  constexpr int64_t kRows = 200;
+  BTree* tree = tables_[0].primary;
+  const uint64_t splits_before = tree->splits();
+  {
+    Session s(nodes_[0], IsolationLevel::kReadCommitted);
+    ASSERT_TRUE(s.Begin().ok());
+    for (int64_t key = 1; key <= kRows; ++key) {
+      ASSERT_TRUE(s.Insert(tables_[0], key, "loaded-row").ok());
+    }
+    ASSERT_TRUE(s.Commit().ok());
+  }
+  ASSERT_GE(tree->splits() - splits_before, 2u);
+  const Tit* tit = cluster_->services()->tit;
+  const uint64_t remote_before = tit->remote_slot_reads();
+  for (int64_t key = 1; key <= kRows; ++key) {
+    EXPECT_EQ(Read1(1, key).value(), "loaded-row") << "key " << key;
+  }
+  EXPECT_EQ(tit->remote_slot_reads() - remote_before, 0u);
+}
+
 TEST_F(MultiNodeTest, ConcurrentDisjointWritersScaleCorrectly) {
   constexpr int kPerNode = 100;
   std::vector<std::thread> threads;

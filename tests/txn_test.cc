@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 
@@ -532,6 +533,122 @@ TEST_F(TxnTest, GetForUpdateObeysSnapshotConflicts) {
   reader.join();
   EXPECT_TRUE(a_status.IsAborted()) << a_status.ToString();
   EXPECT_GT(node_->trx_manager()->lock_waits(), waits_before);
+}
+
+// Commit-time CTS backfill (§4.1) must reach rows the transaction's own
+// splits moved off the leaf they were written on: ascending inserts fill the
+// rightmost leaf, and each split moves its upper half right before the
+// commit runs.
+TEST_F(TxnTest, BackfillReachesRowsSplitsMovedRight) {
+  TrxManager* mgr = node_->trx_manager();
+  BTree* tree = table_.primary;
+  BufferPool* lbp = node_->buffer_pool();
+  const uint64_t splits_before = tree->splits();
+  const uint64_t backfilled_before = mgr->backfilled_rows();
+  const uint64_t skips_before = mgr->backfill_skips();
+  constexpr int64_t kRows = 200;
+  Transaction* trx = mgr->Begin(IsolationLevel::kReadCommitted).value();
+  for (int64_t key = 1; key <= kRows; ++key) {
+    ASSERT_TRUE(mgr->WriteRow(trx, tree, key, "sequential-load-row",
+                              /*tombstone=*/false, /*must_not_exist=*/true,
+                              /*require_exists=*/false, nullptr)
+                    .ok());
+  }
+  const uint64_t splits = tree->splits() - splits_before;
+  ASSERT_GE(splits, 2u);
+  // The backfill pins each page once, not once per row: the rows sit on
+  // splits + 1 leaves, plus the root a first split turned internal, which
+  // routes the rows hinted at it down.
+  const uint64_t pins_before = node_->plock_manager()->local_grants();
+  ASSERT_TRUE(mgr->Commit(trx).ok());
+  EXPECT_LE(node_->plock_manager()->local_grants() - pins_before,
+            splits + 2);
+  const GTrxId gid = trx->gid();
+  const Csn cts = trx->cts();
+  mgr->Release(trx);
+  EXPECT_EQ(mgr->backfilled_rows() - backfilled_before,
+            static_cast<uint64_t>(kRows));
+  EXPECT_EQ(mgr->backfill_skips() - skips_before, 0u);
+
+  // Every row is still LBP-resident (the scan loads nothing) and its image
+  // carries the commit's CTS.
+  const uint64_t loads_before = lbp->storage_loads() + lbp->dbp_fetches();
+  int64_t seen = 0;
+  ASSERT_TRUE(tree->ScanRange(1, kRows, [&](const RowView& row) {
+                    EXPECT_EQ(row.g_trx_id, gid) << "key " << row.key;
+                    EXPECT_EQ(row.cts, cts) << "key " << row.key;
+                    ++seen;
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(seen, kRows);
+  EXPECT_EQ(lbp->storage_loads() + lbp->dbp_fetches(), loads_before);
+}
+
+// Two writers on one node insert interleaved ascending keys, so each one's
+// splits move rows the other wrote and has not committed yet. Writer 1 then
+// keeps inserting past the shared range, splitting the right edge while
+// writer 0 commits and backfills. Every row still ends up with its writer's
+// CTS. The backfill latches one page at a time; the runtime lock-rank
+// checker aborts the process on any inversion.
+TEST_F(TxnTest, InterleavedWritersBackfillRowsEachOthersSplitsMoved) {
+  TrxManager* mgr = node_->trx_manager();
+  BTree* tree = table_.primary;
+  const uint64_t backfilled_before = mgr->backfilled_rows();
+  const uint64_t skips_before = mgr->backfill_skips();
+  constexpr int64_t kShared = 160;  // keys 1..kShared alternate writers
+  constexpr int64_t kTail = 120;    // writer 1's keys past kShared
+  std::atomic<int64_t> last_written{0};
+  GTrxId gids[2] = {kInvalidGTrxId, kInvalidGTrxId};
+  Csn ctss[2] = {kCsnInit, kCsnInit};
+  auto write = [&](Transaction* trx, int64_t key) {
+    const Status st = mgr->WriteRow(trx, tree, key, "interleaved-row",
+                                    /*tombstone=*/false,
+                                    /*must_not_exist=*/true,
+                                    /*require_exists=*/false, nullptr);
+    EXPECT_TRUE(st.ok()) << "key " << key << ": " << st.ToString();
+  };
+  auto writer = [&](int w) {
+    Transaction* trx = mgr->Begin(IsolationLevel::kReadCommitted).value();
+    for (int64_t key = 1 + w; key <= kShared; key += 2) {
+      // Strict alternation keeps the global insert order ascending, so
+      // every leaf holds both writers' rows.
+      while (last_written.load(std::memory_order_acquire) != key - 1) {
+        std::this_thread::yield();
+      }
+      write(trx, key);
+      last_written.store(key, std::memory_order_release);
+    }
+    if (w == 1) {
+      for (int64_t key = kShared + 1; key <= kShared + kTail; ++key) {
+        write(trx, key);
+      }
+    }
+    const Status st = mgr->Commit(trx);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    gids[w] = trx->gid();
+    ctss[w] = trx->cts();
+    mgr->Release(trx);
+  };
+  std::thread w0(writer, 0);
+  std::thread w1(writer, 1);
+  w0.join();
+  w1.join();
+
+  constexpr int64_t kRows = kShared + kTail;
+  EXPECT_EQ(mgr->backfilled_rows() - backfilled_before,
+            static_cast<uint64_t>(kRows));
+  EXPECT_EQ(mgr->backfill_skips() - skips_before, 0u);
+  int64_t seen = 0;
+  ASSERT_TRUE(tree->ScanRange(1, kRows, [&](const RowView& row) {
+                    const int w = row.key <= kShared ? (row.key - 1) % 2 : 1;
+                    EXPECT_EQ(row.g_trx_id, gids[w]) << "key " << row.key;
+                    EXPECT_EQ(row.cts, ctss[w]) << "key " << row.key;
+                    ++seen;
+                    return true;
+                  })
+                  .ok());
+  EXPECT_EQ(seen, kRows);
 }
 
 TEST_F(TxnGsiTest, RollbackRevertsIndexEntries) {
