@@ -21,8 +21,11 @@
 #                               # also runs the bank_transfer example whose
 #                               # exit code checks balance conservation,
 #                               # repeats the TsoClient tests 40 times, and
-#                               # the torn seqlocked-write and interleaved
-#                               # CTS-backfill tests 20 times each
+#                               # the torn seqlocked-write, interleaved
+#                               # CTS-backfill and out-of-order log-landing
+#                               # tests 20 times each; each repeat step runs
+#                               # under a 300 s timeout, so a starved waiter
+#                               # fails the mode instead of stalling it
 #   scripts/check.sh chaos      # seeded fault-injection soak: benches under
 #                               # DefaultChaosPlan(42) plus an online node
 #                               # takeover; sidecars must show faults fired
@@ -190,20 +193,28 @@ run_mode() {
       for seed in 17 23; do
         POLARMP_BANK_SEED="${seed}" ./build/examples/bank_transfer
       done
+      # Repeated interleaving tests. Each step runs under a timeout: a
+      # waiter starved by its peers fails the mode instead of stalling it.
+      local repeat_timeout=300
       # Linear Lamport coalescing depends on real thread interleavings, so
       # one pass samples it; 40 repeats gate its stability.
       cmake --build build -j "${JOBS}" --target polarmp_tests
-      ./build/tests/polarmp_tests --gtest_filter='TsoClientTest.*' \
-        --gtest_repeat=40 --gtest_brief=1
+      timeout "${repeat_timeout}" ./build/tests/polarmp_tests \
+        --gtest_filter='TsoClientTest.*' --gtest_repeat=40 --gtest_brief=1
       # Commit-time CTS backfill walks right past splits that a concurrent
       # writer on the same node makes; 20 repeats sample its interleavings.
-      ./build/tests/polarmp_tests \
+      timeout "${repeat_timeout}" ./build/tests/polarmp_tests \
         --gtest_filter='TxnTest.InterleavedWritersBackfillRowsEachOthersSplitsMoved' \
         --gtest_repeat=20 --gtest_brief=1
       # The seqlocked reader must outwait a torn write's window however
       # slowly it is scheduled; 20 repeats gate that.
-      ./build/tests/polarmp_tests \
+      timeout "${repeat_timeout}" ./build/tests/polarmp_tests \
         --gtest_filter='FaultInjectionTest.TornSeqlockedWriteNeverSurfacesMixedImage' \
+        --gtest_repeat=20 --gtest_brief=1
+      # Overlapping log forces land out of order; durable must stop at the
+      # hole, and no handle may complete ahead of the landed prefix.
+      timeout "${repeat_timeout}" ./build/tests/polarmp_tests \
+        --gtest_filter='LogStoreTest.OutOfOrderLandingStopsAtTheHole:CommitPipelineTest.SecondForceOverlapsButWaitsForTheFirstToLand:CommitPipelineTest.NoHandleCompletesAheadOfTheLandedPrefix' \
         --gtest_repeat=20 --gtest_brief=1
       echo "smoke OK: sidecars ${sidecar} ${cache_sidecar}"
       ;;

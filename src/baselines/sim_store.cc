@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "wal/log_writer.h"
+
 namespace polarmp {
 
 void SimLogDevice::CommitForce(int node) {
@@ -10,23 +12,34 @@ void SimLogDevice::CommitForce(int node) {
   NodeState& st = nodes_[node];  // map nodes are reference-stable
   const uint64_t ticket = st.next_seq++;
   for (;;) {
-    if (st.durable_seq > ticket) return;  // a force covered our append
-    if (!st.force_in_flight) {
-      st.force_in_flight = true;
+    if (st.durable_seq > ticket) return;  // the landed prefix covers us
+    if (ticket >= st.claimed_seq && st.in_flight < kMaxForcesInFlight) {
       // Everything appended up to now rides this one device write.
+      const uint64_t first = st.claimed_seq;
       const uint64_t covers = st.next_seq;
-      const uint64_t group = covers - st.durable_seq;
+      st.claimed_seq = covers;
+      ++st.in_flight;
       lock.unlock();
       SimDelay(profile_.log_append_ns);
       lock.lock();
+      --st.in_flight;
       forces_.Inc();
-      group_size_.Record(group);
-      st.durable_seq = covers;
-      st.force_in_flight = false;
+      group_size_.Record(covers - first);
+      // Durability advances over landed tickets in order.
+      st.landed.emplace(first, covers);
+      for (auto r = st.landed.begin();
+           r != st.landed.end() && r->first == st.durable_seq;
+           r = st.landed.erase(r)) {
+        st.durable_seq = r->second;
+      }
       cv_.notify_all();
-      return;  // covers > ticket by construction
+      continue;
     }
-    cv_.wait(lock, [&]() REQUIRES(mu_) { return !st.force_in_flight; });
+    cv_.wait(lock, [&]() REQUIRES(mu_) {
+      return st.durable_seq > ticket ||
+             (ticket >= st.claimed_seq &&
+              st.in_flight < kMaxForcesInFlight);
+    });
   }
 }
 

@@ -60,18 +60,20 @@ struct SimPageKeyHash {
 //
 // Every modeled system group-commits: concurrent committers on one node
 // ride a single device force instead of serializing one log_append_ns
-// each. PolarDB-MP's side runs a pipelined group-commit log writer, so the
-// cost models must charge the same way for the throughput comparison to
-// stay an architecture comparison. CommitForce(node) takes a ticket, joins
-// the force already on the wire for that node when its append precedes the
-// device write, and otherwise starts (or waits for) the next one.
+// each, and a node keeps up to kMaxForcesInFlight forces on the wire, as
+// PolarDB-MP's log writer does. The cost models must charge the same way
+// for the throughput comparison to stay an architecture comparison.
+// CommitForce(node) takes a ticket; a force claims every ticket not yet
+// claimed, and a ticket is durable once every force up to and including
+// its own has landed.
 class SimLogDevice {
  public:
   explicit SimLogDevice(const LatencyProfile& profile) : profile_(profile) {}
 
   // Models appending this committer's log and forcing the device, grouped
   // with concurrent committers of the same node: blocks for ~one
-  // log_append_ns plus queueing behind an in-flight force.
+  // log_append_ns plus queueing for the landed prefix and the in-flight
+  // bound.
   void CommitForce(int node);
 
   // Device forces actually charged ("sim_store.log_forces"; group sizes in
@@ -81,8 +83,11 @@ class SimLogDevice {
  private:
   struct NodeState {
     uint64_t next_seq = 0;     // next ticket to hand out
+    uint64_t claimed_seq = 0;  // tickets below this ride some force
     uint64_t durable_seq = 0;  // tickets below this are durable
-    bool force_in_flight = false;
+    int in_flight = 0;         // forces on the wire
+    // Forces [first, second) of tickets landed above durable_seq.
+    std::map<uint64_t, uint64_t> landed;
   };
 
   const LatencyProfile profile_;

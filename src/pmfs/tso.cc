@@ -52,8 +52,14 @@ StatusOr<Csn> TsoClient::ReadTimestamp() {
     UniqueLock lock(fetch_mu_);
     if (fetch_in_flight_) {
       // Piggyback: when the in-flight fetch lands, re-check the watermark
-      // (it serves us iff it started after our arrival).
-      fetch_cv_.wait(lock, [&] { return !fetch_in_flight_; });
+      // (it serves us iff it started after our arrival). Wait for the
+      // landing itself, not for the role to be free: a looping reader may
+      // retake the role before we are scheduled. The fetch after this one
+      // starts after our arrival, so we wait out at most two.
+      const uint64_t landed = fetches_landed_;
+      fetch_cv_.wait(lock, [&]() REQUIRES(fetch_mu_) {
+        return fetches_landed_ != landed;
+      });
       continue;
     }
     if (fetch_started_at_.load(std::memory_order_acquire) >= arrival) {
@@ -75,6 +81,7 @@ StatusOr<Csn> TsoClient::ReadTimestamp() {
 
     lock.lock();
     fetch_in_flight_ = false;
+    ++fetches_landed_;
     fetch_cv_.notify_all();
     lock.unlock();
     EndSimSleepDeferral();

@@ -95,6 +95,9 @@ class TsoClient {
   RankedMutex fetch_mu_{LockRank::kPmfsService, "tso.fetch"};
   CondVar fetch_cv_;
   bool fetch_in_flight_ GUARDED_BY(fetch_mu_) = false;
+  // Fetches that have landed (succeeded or failed); piggybacking readers
+  // wait for it to move.
+  uint64_t fetches_landed_ GUARDED_BY(fetch_mu_) = 0;
 
   obs::Counter fetches_{"tso.fetches"};
   obs::Counter reuses_{"tso.reuses"};

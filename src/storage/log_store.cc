@@ -26,13 +26,8 @@ std::vector<NodeId> LogStore::AllLogs() const {
   return out;
 }
 
-StatusOr<Lsn> LogStore::Append(NodeId node, const std::string& data) {
-  SimDelay(profile_.log_append_ns);
+StatusOr<Lsn> LogStore::Reserve(NodeId node, const std::string& data) {
   MutexLock lock(mu_);
-  if (fail_appends_ > 0) {
-    --fail_appends_;
-    return Status::IOError("injected log append failure");
-  }
   auto it = streams_.find(node);
   if (it == streams_.end()) {
     return Status::NotFound("log missing: node " + std::to_string(node));
@@ -42,9 +37,72 @@ StatusOr<Lsn> LogStore::Append(NodeId node, const std::string& data) {
   return lsn;
 }
 
+StatusOr<Lsn> LogStore::Complete(NodeId node, Lsn lsn, uint64_t len) {
+  bool fail = false;
+  bool hold = false;
+  {
+    // Injected faults bind to Completes in the order they start.
+    MutexLock lock(mu_);
+    fail = fail_appends_ > 0;
+    if (fail) --fail_appends_;
+    hold = hold_appends_ > 0;
+    if (hold) --hold_appends_;
+  }
+  SimDelay(profile_.log_append_ns);
+  UniqueLock lock(mu_);
+  if (hold) {
+    const uint64_t gen = hold_release_gen_;
+    ++held_appends_;
+    hold_cv_.notify_all();
+    hold_cv_.wait(lock,
+                  [&]() REQUIRES(mu_) { return hold_release_gen_ != gen; });
+    --held_appends_;
+  }
+  if (fail) return Status::IOError("injected log append failure");
+  auto it = streams_.find(node);
+  if (it == streams_.end()) {
+    return Status::NotFound("log missing: node " + std::to_string(node));
+  }
+  Stream& s = it->second;
+  const Lsn end = lsn + len;
+  if (lsn < s.landed || end > s.start + s.data.size()) {
+    return Status::InvalidArgument("append range outside the reserved tail");
+  }
+  s.landed_above.emplace(lsn, end);
+  // Advance the durable prefix over every range that now touches it.
+  for (auto r = s.landed_above.begin();
+       r != s.landed_above.end() && r->first <= s.landed;
+       r = s.landed_above.erase(r)) {
+    s.landed = std::max(s.landed, r->second);
+  }
+  return s.landed;
+}
+
+StatusOr<Lsn> LogStore::Append(NodeId node, const std::string& data) {
+  POLARMP_ASSIGN_OR_RETURN(const Lsn lsn, Reserve(node, data));
+  POLARMP_RETURN_IF_ERROR(Complete(node, lsn, data.size()).status());
+  return lsn;
+}
+
 void LogStore::FailNextAppends(int n) {
   MutexLock lock(mu_);
   fail_appends_ = n;
+}
+
+void LogStore::HoldNextAppends(int n) {
+  MutexLock lock(mu_);
+  hold_appends_ = n;
+}
+
+void LogStore::ReleaseHeldAppends() {
+  MutexLock lock(mu_);
+  ++hold_release_gen_;
+  hold_cv_.notify_all();
+}
+
+int LogStore::held_appends() const {
+  MutexLock lock(mu_);
+  return held_appends_;
 }
 
 StatusOr<Lsn> LogStore::DurableLsn(NodeId node) const {
@@ -53,7 +111,19 @@ StatusOr<Lsn> LogStore::DurableLsn(NodeId node) const {
   if (it == streams_.end()) {
     return Status::NotFound("log missing: node " + std::to_string(node));
   }
-  return it->second.start + it->second.data.size();
+  return it->second.landed;
+}
+
+Status LogStore::DropUnlandedTail(NodeId node) {
+  MutexLock lock(mu_);
+  auto it = streams_.find(node);
+  if (it == streams_.end()) {
+    return Status::NotFound("log missing: node " + std::to_string(node));
+  }
+  Stream& s = it->second;
+  s.data.resize(s.landed - s.start);
+  s.landed_above.clear();
+  return Status::OK();
 }
 
 Status LogStore::ReadAt(NodeId node, Lsn offset, uint64_t max_len,
@@ -68,12 +138,12 @@ Status LogStore::ReadAt(NodeId node, Lsn offset, uint64_t max_len,
   if (offset < s.start) {
     return Status::Corruption("read below log truncation point");
   }
-  const uint64_t rel = offset - s.start;
-  if (rel >= s.data.size()) {
+  if (offset >= s.landed) {
     out->clear();
     return Status::OK();
   }
-  const uint64_t n = std::min<uint64_t>(max_len, s.data.size() - rel);
+  const uint64_t rel = offset - s.start;
+  const uint64_t n = std::min<uint64_t>(max_len, s.landed - offset);
   out->assign(s.data.data() + rel, n);
   return Status::OK();
 }
@@ -86,8 +156,7 @@ Status LogStore::Truncate(NodeId node, Lsn new_start) {
   }
   Stream& s = it->second;
   if (new_start < s.start) return Status::OK();  // already truncated past it
-  const Lsn end = s.start + s.data.size();
-  if (new_start > end) {
+  if (new_start > s.landed) {
     return Status::InvalidArgument("truncate beyond end of log");
   }
   s.data.erase(0, new_start - s.start);

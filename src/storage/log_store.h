@@ -19,8 +19,13 @@ namespace polarmp {
 //
 // An LSN is a byte offset in the node's stream, exactly as in the paper
 // ("this LSN also serves as the offset within the redo log file").
-// Appends charge the log-force latency; recovery reads charge storage-read
-// latency per chunk. Checkpoint LSNs are stored durably alongside the log.
+// An append is split in two so one node can keep several on the wire:
+// Reserve places the bytes at the stream end in claim order, and Complete
+// charges the log-force latency and marks the range landed. Ranges may land
+// out of order; DurableLsn, ReadAt and Truncate see only the contiguous
+// landed prefix, so recovery and the standby never read past a hole.
+// Recovery reads charge storage-read latency per chunk. Checkpoint LSNs are
+// stored durably alongside the log.
 class LogStore {
  public:
   explicit LogStore(const LatencyProfile& profile) : profile_(profile) {}
@@ -33,20 +38,36 @@ class LogStore {
   // Every log stream that exists (recovery iterates all of them).
   std::vector<NodeId> AllLogs() const;
 
-  // Durably appends `data`; returns the LSN (stream offset) of its first
-  // byte. Thread-safe; each call is one forced write.
+  // Places `data` at the end of the stream and returns the LSN of its first
+  // byte. The bytes stay invisible until Complete lands them.
+  StatusOr<Lsn> Reserve(NodeId node, const std::string& data);
+
+  // Forces the reserved range [lsn, lsn + len) to the device: charges one
+  // log_append_ns, then marks the range landed and returns the end of the
+  // contiguous landed prefix. A failed force leaves the range a hole; a
+  // later Complete of the same range re-forces it.
+  StatusOr<Lsn> Complete(NodeId node, Lsn lsn, uint64_t len);
+
+  // Reserve then Complete: one forced write; returns the LSN of its first
+  // byte.
   StatusOr<Lsn> Append(NodeId node, const std::string& data);
 
-  // End offset of the durable stream.
+  // End offset of the contiguous landed prefix.
   StatusOr<Lsn> DurableLsn(NodeId node) const;
 
+  // A restarting writer drops everything above the landed prefix: ranges
+  // reserved but never landed, and ranges that landed above such a hole.
+  // Nothing there was ever durable, so nothing acknowledged is lost.
+  Status DropUnlandedTail(NodeId node);
+
   // Reads up to `max_len` bytes at `offset` into `out` (may return fewer at
-  // end of stream). Reading below the truncation point is a Corruption.
+  // the end of the landed prefix). Reading below the truncation point is a
+  // Corruption.
   Status ReadAt(NodeId node, Lsn offset, uint64_t max_len,
                 std::string* out) const;
 
-  // Logical truncation after a checkpoint: bytes below `new_start` may be
-  // discarded.
+  // Logical truncation after a checkpoint: bytes below `new_start` (at most
+  // the landed prefix) may be discarded.
   Status Truncate(NodeId node, Lsn new_start);
 
   // Durable checkpoint bookkeeping (recovery starts replay here).
@@ -58,24 +79,41 @@ class LogStore {
   uint64_t BumpNodeEpoch(NodeId node);
   uint64_t GetNodeEpoch(NodeId node) const;
 
-  // Test-only fault injection: the next `n` Appends (any node) fail with an
-  // IO error after charging the device latency, leaving the stream
-  // untouched. Exercises the force-error completion path of the group
-  // commit pipeline (every queued committer must see the failure).
+  // Test-only fault injection: the next `n` Completes (any node) fail with
+  // an IO error after charging the device latency, leaving their ranges
+  // holes. Exercises the force-error completion path of the group commit
+  // pipeline (every waiter at or above the hole must see the failure).
   void FailNextAppends(int n);
+
+  // Test-only hold: the next `n` Completes (any node) park on the wire after
+  // the device latency, before they land or fail, until
+  // ReleaseHeldAppends. Lets tests order landings deterministically.
+  void HoldNextAppends(int n);
+  void ReleaseHeldAppends();
+  // Completes parked by HoldNextAppends right now.
+  int held_appends() const;
 
  private:
   struct Stream {
-    std::string data;      // bytes from `start` onward
+    std::string data;      // reserved bytes from `start` onward
     Lsn start = 0;         // truncation point
+    Lsn landed = 0;        // end of the contiguous landed prefix
+    // Ranges [first, second) landed above a hole, merged into `landed` once
+    // the hole lands.
+    std::map<Lsn, Lsn> landed_above;
     Lsn checkpoint = 0;
     uint64_t epoch = 0;
   };
 
   const LatencyProfile profile_;
   mutable RankedMutex mu_{LockRank::kStorage, "log_store.streams"};
+  CondVar hold_cv_;
   std::map<NodeId, Stream> streams_ GUARDED_BY(mu_);
   int fail_appends_ GUARDED_BY(mu_) = 0;
+  int hold_appends_ GUARDED_BY(mu_) = 0;
+  int held_appends_ GUARDED_BY(mu_) = 0;
+  // Bumped by ReleaseHeldAppends; a parked Complete waits for it to move.
+  uint64_t hold_release_gen_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace polarmp

@@ -1,5 +1,6 @@
 #include "wal/log_writer.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "obs/trace.h"
@@ -19,11 +20,17 @@ LogWriter::LogWriter(NodeId node, LogStore* store)
     const Status s = store_->CreateLog(node_);
     POLARMP_CHECK(s.ok()) << s.ToString();
   }
+  // What an earlier incarnation left above the landed prefix was never
+  // durable; new appends go where it would have been.
+  const Status dropped = store_->DropUnlandedTail(node_);
+  POLARMP_CHECK(dropped.ok()) << dropped.ToString();
   const auto durable = store_->DurableLsn(node_);
   POLARMP_CHECK(durable.ok());
   durable_ = durable.value();
   buffer_start_ = durable_;
-  flusher_ = std::thread([this] { FlusherLoop(); });
+  for (int i = 0; i < kMaxForcesInFlight; ++i) {
+    flushers_.emplace_back([this] { FlusherLoop(); });
+  }
 }
 
 LogWriter::~LogWriter() {
@@ -32,7 +39,7 @@ LogWriter::~LogWriter() {
     stop_ = true;
     flusher_cv_.notify_all();
   }
-  flusher_.join();
+  for (std::thread& t : flushers_) t.join();
 }
 
 Lsn LogWriter::Add(const std::vector<LogRecord>& records) {
@@ -49,37 +56,30 @@ Lsn LogWriter::AddEncoded(const std::string& encoded) {
 }
 
 LogWriter::ForceHandle LogWriter::ForceAsync(Lsn lsn) {
-  bool already_durable = false;
-  bool beyond_buffer = false;
+  Status refused;
   {
-    MutexLock lock(mu_);
-    if (durable_ >= lsn) {
-      already_durable = true;
-    } else if (lsn > buffer_start_ + buffer_.size()) {
-      beyond_buffer = true;
-    }
-  }
-  // A null handle reports done/OK, which is exactly the fast path.
-  if (already_durable) return ForceHandle();
-  if (beyond_buffer) {
-    StatusPromise promise;
-    ForceHandle handle = promise.future();
-    promise.Set(Status::Internal("force target beyond buffered log"));
-    return handle;
-  }
-  Waiter w;
-  w.enqueue_ns = obs::TraceSpan::NowNanos();
-  ForceHandle handle = w.promise.future();
-  {
+    // durable_ advances under flusher_mu_, so a force that lands after this
+    // check settles the waiter enqueued below: none is stranded.
     MutexLock lock(flusher_mu_);
-    if (!abandoned_ && !stop_) {
+    // A null handle reports done/OK, which is exactly the fast path.
+    if (durable_ >= lsn) return ForceHandle();
+    if (lsn > buffered_lsn()) {
+      refused = Status::Internal("force target beyond buffered log");
+    } else if (abandoned_ || stop_) {
+      refused = Status::Aborted("log writer abandoned");
+    } else {
+      Waiter w;
+      w.enqueue_ns = obs::TraceSpan::NowNanos();
+      ForceHandle handle = w.promise.future();
       force_queue_depth_.Add(1);
       waiters_.emplace(lsn, std::move(w));
       flusher_cv_.notify_all();
       return handle;
     }
   }
-  w.promise.Set(Status::Aborted("log writer abandoned"));
+  StatusPromise promise;
+  ForceHandle handle = promise.future();
+  promise.Set(refused);
   return handle;
 }
 
@@ -90,9 +90,10 @@ LogWriter::ForceHandle LogWriter::ForceAllAsync() {
 void LogWriter::PauseFlusher() {
   UniqueLock lock(flusher_mu_);
   paused_ = true;
-  // Wait out an in-flight cycle: after return no new force starts.
-  flusher_cv_.wait(lock,
-                   [&]() REQUIRES(flusher_mu_) { return !flusher_busy_; });
+  // Wait out the forces in flight: after return no new force starts.
+  flusher_cv_.wait(lock, [&]() REQUIRES(flusher_mu_) {
+    return in_flight_ == 0 && !completing_;
+  });
 }
 
 void LogWriter::ResumeFlusher() {
@@ -102,26 +103,75 @@ void LogWriter::ResumeFlusher() {
 }
 
 void LogWriter::Abandon() {
-  {
-    // The volatile buffer evaporates, as it would in a real crash. The
-    // durable prefix (and an append already on the wire) stays truthful.
-    MutexLock lock(mu_);
-    buffer_.clear();
-  }
   UniqueLock lock(flusher_mu_);
   abandoned_ = true;
-  flusher_cv_.notify_all();
-  // Quiesce: an in-flight force finishes (completing its waiters normally —
-  // those bytes made it out), then the flusher drains the rest with
-  // Aborted. On return every handle is completed.
+  {
+    // The volatile buffer evaporates, as it would in a real crash. The
+    // durable prefix (and appends already on the wire) stay truthful.
+    MutexLock buffer_lock(mu_);
+    buffer_.clear();
+  }
+  // Forces in flight land (completing the waiters they make durable); the
+  // last one off the wire, or this call if none is, aborts the rest. On
+  // return every handle is completed.
+  SettleLocked();
   flusher_cv_.wait(lock, [&]() REQUIRES(flusher_mu_) {
-    return !flusher_busy_ && waiters_.empty();
+    return in_flight_ == 0 && waiters_.empty() && !completing_;
   });
 }
 
 size_t LogWriter::pending_forces() const {
   MutexLock lock(flusher_mu_);
   return waiters_.size();
+}
+
+int LogWriter::forces_in_flight() const {
+  MutexLock lock(flusher_mu_);
+  return in_flight_;
+}
+
+std::map<Lsn, LogWriter::Hole>::const_iterator LogWriter::ReforceableHole(
+    Lsn top) const {
+  for (auto it = holes_.begin(); it != holes_.end() && it->first < top; ++it) {
+    if (it->second.status.ok()) return it;
+  }
+  return holes_.end();
+}
+
+bool LogWriter::CanClaim() const {
+  if (abandoned_ || paused_ || in_flight_ >= kMaxForcesInFlight ||
+      waiters_.empty()) {
+    return false;
+  }
+  const Lsn top = waiters_.rbegin()->first;
+  if (ReforceableHole(top) != holes_.end()) return true;
+  MutexLock lock(mu_);
+  return top > buffer_start_;
+}
+
+LogWriter::Force LogWriter::Claim() {
+  // Re-force a hole first: durable cannot pass it.
+  const auto hole = ReforceableHole(waiters_.rbegin()->first);
+  if (hole != holes_.end()) {
+    const Force force{hole->first, hole->second.len};
+    holes_.erase(hole);
+    return force;
+  }
+  // Claim the WHOLE buffer: one storage append covers every queued
+  // committer (group commit). While it is on the wire, committers keep
+  // buffering and enqueueing; the next batch accumulates behind it.
+  MutexLock lock(mu_);
+  // Targets are validated against the buffered end at enqueue and claims
+  // happen under flusher_mu_, so a target above the claimed bytes means
+  // the buffer holds them.
+  POLARMP_CHECK(!buffer_.empty());
+  const auto reserved = store_->Reserve(node_, buffer_);
+  POLARMP_CHECK(reserved.ok() && reserved.value() == buffer_start_)
+      << "log stream diverged from writer bookkeeping";
+  const Force force{buffer_start_, buffer_.size()};
+  buffer_start_ += buffer_.size();
+  buffer_.clear();
+  return force;
 }
 
 std::vector<LogWriter::Waiter> LogWriter::TakeReady(Lsn durable) {
@@ -134,143 +184,80 @@ std::vector<LogWriter::Waiter> LogWriter::TakeReady(Lsn durable) {
   return ready;
 }
 
-void LogWriter::Complete(std::vector<Waiter> ready, const Status& status) {
-  // Runs with NO LogWriter locks held (rank kFutureState sits below them).
-  for (Waiter& w : ready) {
-    commit_wait_ns_.Record(obs::TraceSpan::NowNanos() - w.enqueue_ns);
-    force_queue_depth_.Add(-1);
-    w.promise.Set(status);
+void LogWriter::Deliver(std::vector<Waiter> waiters, const Status& status) {
+  for (Waiter& w : waiters) to_complete_.emplace_back(std::move(w), status);
+}
+
+void LogWriter::SettleLocked() {
+  std::vector<Waiter> landed = TakeReady(durable_);
+  if (!landed.empty()) group_size_.Record(landed.size());
+  Deliver(std::move(landed), Status::OK());
+  // Every byte below a failed range has landed: its waiters and every
+  // waiter above it fail now, in order, and the holes wait for a later
+  // waiter to need them re-forced.
+  const auto hole = holes_.find(durable_);
+  if (hole != holes_.end() && !hole->second.status.ok()) {
+    Deliver(TakeReady(kAllTargets), hole->second.status);
+    for (auto& [start, h] : holes_) h.status = Status::OK();
   }
+  if ((abandoned_ || stop_) && in_flight_ == 0) {
+    Deliver(TakeReady(kAllTargets), Status::Aborted("log writer abandoned"));
+  }
+  DrainCompletionsLocked();
+}
+
+void LogWriter::DrainCompletionsLocked() {
+  if (completing_) return;  // the thread delivering now takes ours too
+  completing_ = true;
+  while (!to_complete_.empty()) {
+    std::vector<std::pair<Waiter, Status>> batch;
+    batch.swap(to_complete_);
+    flusher_mu_.unlock();
+    for (auto& [w, status] : batch) {
+      commit_wait_ns_.Record(obs::TraceSpan::NowNanos() - w.enqueue_ns);
+      force_queue_depth_.Add(-1);
+      w.promise.Set(status);
+    }
+    flusher_mu_.lock();
+  }
+  completing_ = false;
+  flusher_cv_.notify_all();
 }
 
 void LogWriter::FlusherLoop() {
+  UniqueLock lock(flusher_mu_);
   for (;;) {
-    bool draining = false;
+    flusher_cv_.wait(lock, [&]() REQUIRES(flusher_mu_) {
+      return stop_ || CanClaim();
+    });
+    if (stop_) {
+      SettleLocked();
+      return;
+    }
+    const Force force = Claim();
+    ++in_flight_;
+    forces_in_flight_.Record(in_flight_);
+    forces_.Inc();
+    lock.unlock();
+    StatusOr<Lsn> landed = Lsn{0};
     {
-      UniqueLock lock(flusher_mu_);
-      flusher_cv_.wait(lock, [&]() REQUIRES(flusher_mu_) {
-        return stop_ || abandoned_ || (!paused_ && !waiters_.empty());
-      });
-      draining = stop_ || abandoned_;
-      if (!draining && waiters_.empty()) continue;
-      flusher_busy_ = true;
+      // force_ns is the device force alone; the committers' wait is
+      // commit_wait_ns.
+      obs::TraceSpan span(&force_ns_);
+      landed = store_->Complete(node_, force.start, force.len);
+      if (!landed.ok()) span.Cancel();
     }
-
-    if (draining) {
-      std::vector<Waiter> doomed;
-      bool exit_now = false;
-      {
-        MutexLock lock(flusher_mu_);
-        doomed = TakeReady(kAllTargets);
-      }
-      Complete(std::move(doomed), Status::Aborted("log writer abandoned"));
-      {
-        MutexLock lock(flusher_mu_);
-        flusher_busy_ = false;
-        exit_now = stop_;
-        flusher_cv_.notify_all();
-      }
-      if (exit_now) return;
-      // Abandoned but not yet destroyed: new requests are rejected at
-      // enqueue, so just park until the destructor stops us.
-      UniqueLock lock(flusher_mu_);
-      flusher_cv_.wait(lock, [&]() REQUIRES(flusher_mu_) { return stop_; });
-      continue;
+    lock.lock();
+    --in_flight_;
+    if (landed.ok()) {
+      durable_ = std::max(durable_, landed.value());
+    } else {
+      // The bytes stay reserved at their offset; retry policy lives above
+      // the log writer, so only a later waiter re-forces them.
+      holes_[force.start] = Hole{force.len, landed.status()};
     }
-
-    // 1. Complete requests an earlier force already satisfied.
-    Lsn durable_now;
-    {
-      MutexLock lock(mu_);
-      durable_now = durable_;
-    }
-    std::vector<Waiter> ready;
-    bool need_force = false;
-    {
-      MutexLock lock(flusher_mu_);
-      ready = TakeReady(durable_now);
-      need_force = !waiters_.empty();
-    }
-    Complete(std::move(ready), Status::OK());
-
-    if (need_force) {
-      // 2. Claim the WHOLE buffer: one storage append covers every queued
-      //    committer (group commit). While it is on the wire, committers
-      //    keep buffering and enqueueing — the next batch accumulates
-      //    behind this one (the pipeline).
-      std::string batch;
-      Lsn batch_start = 0;
-      {
-        MutexLock lock(mu_);
-        batch.swap(buffer_);
-        batch_start = buffer_start_;
-        buffer_start_ += batch.size();
-      }
-      if (batch.empty()) {
-        // Unreachable through the public API (targets are validated against
-        // the buffered end at enqueue; Abandon drains via the branch above).
-        // Fail rather than spin if bookkeeping ever diverges.
-        std::vector<Waiter> stuck;
-        {
-          MutexLock lock(flusher_mu_);
-          stuck = TakeReady(kAllTargets);
-        }
-        Complete(std::move(stuck),
-                 Status::Internal("force target beyond buffered log"));
-      } else {
-        forces_.Inc();
-        Status force_status = Status::OK();
-        Lsn new_durable = 0;
-        {
-          // force_ns is the device force alone; the committers' wait is
-          // commit_wait_ns (split per the latency-accounting fix).
-          obs::TraceSpan span(&force_ns_);
-          auto appended = store_->Append(node_, batch);
-          if (appended.ok()) {
-            POLARMP_CHECK_EQ(appended.value(), batch_start)
-                << "log stream diverged from writer bookkeeping";
-            new_durable = batch_start + batch.size();
-          } else {
-            force_status = appended.status();
-            span.Cancel();
-          }
-        }
-        if (force_status.ok()) {
-          {
-            MutexLock lock(mu_);
-            durable_ = new_durable;
-          }
-          std::vector<Waiter> landed;
-          {
-            MutexLock lock(flusher_mu_);
-            landed = TakeReady(new_durable);
-          }
-          if (!landed.empty()) group_size_.Record(landed.size());
-          Complete(std::move(landed), Status::OK());
-        } else {
-          // Restore the batch so a later force can retry the bytes, then
-          // fail every queued committer: the durability they asked for did
-          // not happen, and retry policy lives above the log writer.
-          {
-            MutexLock lock(mu_);
-            buffer_.insert(0, batch);
-            buffer_start_ = batch_start;
-          }
-          std::vector<Waiter> failed;
-          {
-            MutexLock lock(flusher_mu_);
-            failed = TakeReady(kAllTargets);
-          }
-          Complete(std::move(failed), force_status);
-        }
-      }
-    }
-
-    {
-      MutexLock lock(flusher_mu_);
-      flusher_busy_ = false;
-      flusher_cv_.notify_all();
-    }
+    SettleLocked();
+    flusher_cv_.notify_all();
   }
 }
 
@@ -280,10 +267,11 @@ void LogWriter::ResetCounters() {
   force_ns_.Reset();
   commit_wait_ns_.Reset();
   group_size_.Reset();
+  forces_in_flight_.Reset();
 }
 
 Lsn LogWriter::durable_lsn() const {
-  MutexLock lock(mu_);
+  MutexLock lock(flusher_mu_);
   return durable_;
 }
 

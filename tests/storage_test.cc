@@ -77,6 +77,52 @@ TEST(LogStoreTest, TruncateAndCheckpoint) {
   EXPECT_EQ(out, "456");
 }
 
+// A range that lands before an earlier one leaves DurableLsn and ReadAt at
+// the hole until the earlier range lands.
+TEST(LogStoreTest, OutOfOrderLandingStopsAtTheHole) {
+  LogStore store(ZeroLatencyProfile());
+  ASSERT_TRUE(store.CreateLog(1).ok());
+  ASSERT_TRUE(store.Append(1, "ab").ok());
+  const Lsn first = store.Reserve(1, "cde").value();
+  const Lsn second = store.Reserve(1, "fg").value();
+  EXPECT_EQ(first, 2u);
+  EXPECT_EQ(second, 5u);
+
+  EXPECT_EQ(store.Complete(1, second, 2).value(), 2u);
+  EXPECT_EQ(store.DurableLsn(1).value(), 2u);
+  std::string out;
+  ASSERT_TRUE(store.ReadAt(1, 0, 100, &out).ok());
+  EXPECT_EQ(out, "ab");
+  ASSERT_TRUE(store.ReadAt(1, 5, 100, &out).ok());
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(store.Truncate(1, 5).code(), StatusCode::kInvalidArgument);
+
+  // A failed force leaves the hole; re-forcing the same range fills it.
+  store.FailNextAppends(1);
+  EXPECT_TRUE(store.Complete(1, first, 3).status().IsIOError());
+  EXPECT_EQ(store.DurableLsn(1).value(), 2u);
+  EXPECT_EQ(store.Complete(1, first, 3).value(), 7u);
+  ASSERT_TRUE(store.ReadAt(1, 0, 100, &out).ok());
+  EXPECT_EQ(out, "abcdefg");
+}
+
+// A restarting writer drops what never became durable: a reserved range that
+// never landed and a range that landed above it.
+TEST(LogStoreTest, DropUnlandedTailKeepsTheLandedPrefix) {
+  LogStore store(ZeroLatencyProfile());
+  ASSERT_TRUE(store.CreateLog(1).ok());
+  ASSERT_TRUE(store.Append(1, "ab").ok());
+  ASSERT_TRUE(store.Reserve(1, "cd").ok());
+  const Lsn above = store.Reserve(1, "ef").value();
+  EXPECT_EQ(store.Complete(1, above, 2).value(), 2u);
+
+  ASSERT_TRUE(store.DropUnlandedTail(1).ok());
+  EXPECT_EQ(store.Append(1, "xy").value(), 2u);
+  std::string out;
+  ASSERT_TRUE(store.ReadAt(1, 0, 100, &out).ok());
+  EXPECT_EQ(out, "abxy");
+}
+
 TEST(LogStoreTest, Epochs) {
   LogStore store(ZeroLatencyProfile());
   EXPECT_EQ(store.GetNodeEpoch(3), 0u);
